@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -60,6 +61,12 @@ def _outputs(args, *paths) -> list[str]:
 
 def _alphabet(args) -> Alphabet:
     return Alphabet(args.alphabet)
+
+
+def _replica_config(args, level: int) -> montecarlo.ReplicaConfig:
+    return montecarlo.ReplicaConfig(
+        level=level, alphabet=_alphabet(args), beta=args.beta,
+        master_seed=args.seed, replicas=args.replicas)
 
 
 def _resolved_beta(args) -> float:
@@ -165,29 +172,17 @@ def _cmd_isometry_check(args) -> int:
 
 
 def _cmd_pressure(args) -> int:
-    alphabet = _alphabet(args)
-    samples = []
-    n_failed = 0
-    first_birkhoff = None
-    for i in range(args.replicas):
-        seed = derive_seed(args.seed, i)
-        grid = brownian.sample(args.level, alphabet, seed)
-        L = TransferOperator(build_potential(grid, args.beta))
-        res = power_iterate(L)
-        if not res.converged:
-            n_failed += 1
-            continue
-        s = pressure.pressure_sample(L, res, grid, kmax=args.kmax)
-        if first_birkhoff is None:
-            first_birkhoff = s.birkhoff
-        samples.append(s)
+    config = _replica_config(args, args.level)
+    results = montecarlo.map_replicas(
+        partial(montecarlo.pressure_row, args.kmax), config, workers=1)
+    samples = [s for s in results if s is not None]
     if not samples:
         sys.stderr.write("error: all replicas failed to converge\n")
         return _VIOLATION_EXIT
-    rep = pressure.quenched_report(samples, alphabet)
-    rep["n_failed"] = n_failed
-    if args.emit_birkhoff and first_birkhoff is not None:
-        rows = [(k + 1, float(v)) for k, v in enumerate(first_birkhoff)]
+    rep = pressure.quenched_report(samples, config.alphabet)
+    rep["n_failed"] = len(results) - len(samples)
+    if args.emit_birkhoff:
+        rows = [(k + 1, float(v)) for k, v in enumerate(samples[0].birkhoff)]
         report.write_csv(args.emit_birkhoff, ["k", "value"], rows)
     manifest = report.build_manifest(
         "pressure", _config_dict(args), __version__,
@@ -199,14 +194,9 @@ def _cmd_pressure(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
-    import time
-    config = montecarlo.ReplicaConfig(
-        level=args.level, alphabet=_alphabet(args), beta=args.beta,
-        master_seed=args.seed, replicas=args.replicas)
-    t0 = time.perf_counter()
-    rows = montecarlo.run_replicas(config, args.workers)
-    mc = montecarlo.aggregate(config, rows, time.perf_counter() - t0)
-    tight = montecarlo.tightened_upper_check(config, rows=rows)
+    config = _replica_config(args, args.level)
+    rows, mc = montecarlo.run(config, args.workers)
+    tight = montecarlo.tightened_upper_check(config, rows)
     if args.csv:
         report.write_csv(
             args.csv, ["seed", "lambda", "log_lambda", "M1", "B1"],
@@ -235,9 +225,7 @@ def _cmd_refine_study(args) -> int:
     except ValueError:
         sys.stderr.write("error: --levels must be a comma-separated integer list\n")
         return _USAGE_EXIT
-    config = montecarlo.ReplicaConfig(
-        level=levels[0], alphabet=_alphabet(args), beta=args.beta,
-        master_seed=args.seed, replicas=args.replicas)
+    config = _replica_config(args, levels[0])
     rep = montecarlo.refinement_study(config, levels, args.workers)
     manifest = report.build_manifest("refine-study", _config_dict(args),
                                      __version__, _outputs(args))
@@ -377,10 +365,14 @@ def dispatch(argv) -> int:
         return _USAGE_EXIT
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, OSError) as e:
+    except (ValueError, RuntimeError, OSError, MemoryError) as e:
         sys.stderr.write(f"error: {e}\n")
         return _USAGE_EXIT
 
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

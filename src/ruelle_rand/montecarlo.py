@@ -1,5 +1,6 @@
-"""Replica orchestration: derived seeds, parallel sample -> spectrum
-pipelines, order-stable aggregation, and the expectation-bound checks.
+"""Replica orchestration: derived seeds, one ordered replica map for
+every sample -> spectrum batch, order-stable aggregation, and the
+expectation-bound checks.
 
 Replica i always runs under seed derive_seed(master_seed, i), so the
 result set is a pure function of the config. Workers only change the
@@ -12,13 +13,15 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from multiprocessing import get_context
 
 import numpy as np
 
 from . import brownian
 from ._rng import derive_seed
+from .pressure import PressureSample, mean_stderr, pressure_sample
 from .symbolic import Alphabet
 from .transfer import (DEFAULT_MAX_ITERS, DEFAULT_TOL, TransferOperator,
                        build_potential, pathwise_bounds, power_iterate,
@@ -76,17 +79,7 @@ class McReport:
     wall_time: float
 
     def to_dict(self) -> dict:
-        return {
-            "n_converged": self.n_converged,
-            "n_failed": self.n_failed,
-            "mean_lambda": self.mean_lambda,
-            "stderr_lambda": self.stderr_lambda,
-            "mean_log_lambda": self.mean_log_lambda,
-            "stderr_log_lambda": self.stderr_log_lambda,
-            "quantiles": dict(self.quantiles),
-            "bound_violations": dict(self.bound_violations),
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -99,12 +92,29 @@ def resolve_workers(workers: int | None = None) -> int:
     return workers
 
 
-def _replica_row(arg: tuple[ReplicaConfig, int]) -> ReplicaRow:
-    config, i = arg
+def map_replicas(fn, config: ReplicaConfig, workers: int | None = None) -> list:
+    """[fn((config, i)) for every replica index i], in index order for any
+    worker count. The only replica loop: every batch runs through it."""
+    workers = resolve_workers(workers)
+    args = [(config, i) for i in range(config.replicas)]
+    if workers == 1:
+        return [fn(a) for a in args]
+    chunk = max(1, config.replicas // (4 * workers))
+    with get_context("fork").Pool(workers) as pool:
+        return pool.map(fn, args, chunksize=chunk)
+
+
+def _solve(config: ReplicaConfig, i: int):
+    """Replica i's derived seed, sampled grid, operator and Perron data."""
     seed = derive_seed(config.master_seed, i)
     grid = brownian.sample(config.level, config.alphabet, seed)
     L = TransferOperator(build_potential(grid, config.beta))
-    res = power_iterate(L, config.tol, config.max_iters)
+    return seed, grid, L, power_iterate(L, config.tol, config.max_iters)
+
+
+def _replica_row(arg: tuple[ReplicaConfig, int]) -> ReplicaRow:
+    config, i = arg
+    seed, grid, L, res = _solve(config, i)
     if res.converged:
         bounds = pathwise_bounds(L, res, grid)
         positive = bool(np.all(res.h.values > 0) and np.all(res.nu > 0))
@@ -131,15 +141,17 @@ def _replica_row(arg: tuple[ReplicaConfig, int]) -> ReplicaRow:
     )
 
 
+def pressure_row(kmax: int, arg: tuple[ReplicaConfig, int]) -> PressureSample | None:
+    """Replica's PressureSample, or None when its solve did not converge."""
+    _, grid, L, res = _solve(*arg)
+    if not res.converged:
+        return None
+    return pressure_sample(L, res, grid, kmax=kmax)
+
+
 def run_replicas(config: ReplicaConfig, workers: int | None = None) -> list[ReplicaRow]:
     """All replica rows, in replica-index order regardless of schedule."""
-    workers = resolve_workers(workers)
-    args = [(config, i) for i in range(config.replicas)]
-    if workers == 1:
-        return [_replica_row(a) for a in args]
-    chunk = max(1, config.replicas // (4 * workers))
-    with get_context("fork").Pool(workers) as pool:
-        return pool.map(_replica_row, args, chunksize=chunk)
+    return map_replicas(_replica_row, config, workers)
 
 
 def aggregate(config: ReplicaConfig, rows: list[ReplicaRow],
@@ -148,20 +160,16 @@ def aggregate(config: ReplicaConfig, rows: list[ReplicaRow],
     if not good:
         raise RuntimeError("all replicas failed to converge; check level/beta/tol")
     lams = np.array([r.eigenvalue for r in good])
-    logs = np.array([r.log_eigenvalue for r in good])
-    n = lams.size
-
-    def _se(v):
-        return float(v.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-
+    mean_lambda, stderr_lambda = mean_stderr(lams)
+    mean_log, stderr_log = mean_stderr(np.array([r.log_eigenvalue for r in good]))
     q = np.quantile(lams, [0.01, 0.5, 0.99])
     return McReport(
-        n_converged=n,
-        n_failed=len(rows) - n,
-        mean_lambda=float(lams.mean()),
-        stderr_lambda=_se(lams),
-        mean_log_lambda=float(logs.mean()),
-        stderr_log_lambda=_se(logs),
+        n_converged=lams.size,
+        n_failed=len(rows) - lams.size,
+        mean_lambda=mean_lambda,
+        stderr_lambda=stderr_lambda,
+        mean_log_lambda=mean_log,
+        stderr_log_lambda=stderr_log,
         quantiles={"q01": float(q[0]), "q50": float(q[1]), "q99": float(q[2])},
         bound_violations={
             "lower": sum(1 for r in good if not r.lower_ok),
@@ -172,14 +180,17 @@ def aggregate(config: ReplicaConfig, rows: list[ReplicaRow],
     )
 
 
-def run(config: ReplicaConfig, workers: int | None = None) -> McReport:
+def run(config: ReplicaConfig,
+        workers: int | None = None) -> tuple[list[ReplicaRow], McReport]:
+    """The batch's rows and its report, wall_time covering the replicas."""
     t0 = time.perf_counter()
     rows = run_replicas(config, workers)
-    return aggregate(config, rows, time.perf_counter() - t0)
+    return rows, aggregate(config, rows, time.perf_counter() - t0)
 
 
-def _study_row(arg: tuple[ReplicaConfig, tuple[int, ...], int]) -> list[float]:
-    config, levels, i = arg
+def _study_row(levels: tuple[int, ...],
+               arg: tuple[ReplicaConfig, int]) -> list[float]:
+    config, i = arg
     seed = derive_seed(config.master_seed, i)
     grid = brownian.sample(levels[0], config.alphabet, seed)
     logs = []
@@ -203,14 +214,8 @@ def refinement_study(config: ReplicaConfig, levels,
         raise ValueError("levels must be strictly ascending")
     if len(levels) < 2:
         raise ValueError("need at least two levels")
-    workers = resolve_workers(workers)
-    args = [(config, levels, i) for i in range(config.replicas)]
-    if workers == 1:
-        table = [_study_row(a) for a in args]
-    else:
-        with get_context("fork").Pool(workers) as pool:
-            table = pool.map(_study_row, args)
-    logs = np.array(table)  # replicas x levels
+    # replicas x levels
+    logs = np.array(map_replicas(partial(_study_row, levels), config, workers))
     drifts = np.mean(np.abs(np.diff(logs, axis=1)), axis=0)
     return {
         "levels": list(levels),
@@ -220,21 +225,15 @@ def refinement_study(config: ReplicaConfig, levels,
     }
 
 
-def tightened_upper_check(config: ReplicaConfig, workers: int | None = None,
-                          rows: list[ReplicaRow] | None = None) -> dict:
-    """Expectation bounds on mean lambda: the a priori band upper
+def tightened_upper_check(config: ReplicaConfig, rows: list[ReplicaRow]) -> dict:
+    """Expectation bounds on a batch's mean lambda: the a priori band upper
     2m e^(1/2), and the sharper empirical mean_lambda <= m * mean(e^M1)
-    + 3 stderr. Precomputed rows may be passed to reuse a run."""
-    if rows is None:
-        rows = run_replicas(config, workers)
+    + 3 stderr."""
     good = [r for r in rows if r.converged]
     if not good:
         raise RuntimeError("all replicas failed to converge")
-    lams = np.array([r.eigenvalue for r in good])
+    mean_lambda, stderr = mean_stderr(np.array([r.eigenvalue for r in good]))
     exp_m1 = np.exp(np.array([r.m1 for r in good]))
-    n = lams.size
-    mean_lambda = float(lams.mean())
-    stderr = float(lams.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     m = config.alphabet.m
     band_upper = 2 * m * math.exp(0.5)
     tightened = m * float(exp_m1.mean()) + 3 * stderr

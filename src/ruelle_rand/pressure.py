@@ -18,7 +18,8 @@ import numpy as np
 
 from .brownian import BrownianGrid, stats
 from .symbolic import Alphabet, Word, word_index
-from .transfer import PotentialField, SpectralResult, TransferOperator
+from .transfer import (PotentialField, SpectralResult, TransferOperator,
+                       log_power_iterates)
 
 DEFAULT_P_GRID = np.linspace(0.01, 0.99, 99)
 # exponent used for the depth-n discretization allowance in variational checks
@@ -44,17 +45,16 @@ def birkhoff_pressure(L: TransferOperator, x: Word, kmax: int) -> np.ndarray:
     stands in for the shifted point. Entries converge to log lambda at
     rate O(1/k), uniformly over x.
     """
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
     if x.depth != L.level or x.alphabet != L.alphabet:
         raise ValueError("word and operator live at different depths")
     ix = word_index(x)
-    g = np.zeros(L.alphabet.m**L.level)
-    out = np.empty(kmax)
-    for k in range(1, kmax + 1):
-        g = L._apply_log(g)
-        out[k - 1] = g[ix] / k
-    return out
+    return np.array([g[ix] / k for k, g in log_power_iterates(L, kmax)])
+
+
+def mean_stderr(v: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error (0 for a single sample)."""
+    se = float(v.std(ddof=1) / math.sqrt(v.size)) if v.size > 1 else 0.0
+    return float(v.mean()), se
 
 
 def _letter_weights(p: float, m: int) -> np.ndarray:
@@ -134,8 +134,7 @@ def quenched_report(samples: list[PressureSample],
         raise ValueError("no samples")
     logs = np.array([s.log_lambda for s in samples])
     lams = np.exp(logs)
-    mean_log = float(logs.mean())
-    stderr = float(logs.std(ddof=1) / math.sqrt(logs.size)) if logs.size > 1 else 0.0
+    mean_log, stderr = mean_stderr(logs)
     lo, hi = pressure_band(alphabet)
     gaps = np.array([s.variational_lb - s.log_lambda for s in samples])
     slacks = np.array([s.slack for s in samples])

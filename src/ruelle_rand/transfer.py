@@ -216,16 +216,19 @@ def power_iterate(L: TransferOperator, tol: float = DEFAULT_TOL,
     )
 
 
-def gelfand_sequence(L: TransferOperator, kmax: int) -> np.ndarray:
-    """Entries ||L^k 1||_inf^(1/k) for k = 1..kmax, kept in log-domain."""
+def log_power_iterates(L: TransferOperator, kmax: int):
+    """Yield (k, log L^k 1) for k = 1..kmax, iterated in the log domain."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     g = np.zeros(L.alphabet.m**L.level)
-    out = np.empty(kmax)
     for k in range(1, kmax + 1):
         g = L._apply_log(g)
-        out[k - 1] = np.exp(g.max() / k)
-    return out
+        yield k, g
+
+
+def gelfand_sequence(L: TransferOperator, kmax: int) -> np.ndarray:
+    """Entries ||L^k 1||_inf^(1/k) for k = 1..kmax, kept in log-domain."""
+    return np.array([np.exp(g.max() / k) for k, g in log_power_iterates(L, kmax)])
 
 
 def ratio_representation(L: TransferOperator, result: SpectralResult,

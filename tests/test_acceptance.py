@@ -196,7 +196,7 @@ def test_criterion_10_report_determinism():
     cfg = ReplicaConfig(level=10, beta=1.0, master_seed=4242, replicas=64)
     blobs = []
     for w in (1, 4, 8):
-        d = run(cfg, workers=w).to_dict()
+        d = run(cfg, workers=w)[1].to_dict()
         d.pop("wall_time")
         blobs.append(dumps(d).encode())
     ok = blobs[0] == blobs[1] == blobs[2]

@@ -1,15 +1,18 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from ruelle_rand import __version__
+from ruelle_rand import __version__, brownian
 from ruelle_rand.cli import dispatch
 from ruelle_rand.report import schema_text
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 SCHEMA = json.loads(schema_text())
 VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
 
@@ -55,6 +58,22 @@ class TestUsage:
                              capture_output=True, text=True)
         assert out.returncode == 0
         assert __version__ in out.stdout + out.stderr
+
+    def test_module_entry_point(self):
+        out = subprocess.run([sys.executable, "-m", "ruelle_rand.cli", "--version"],
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=SRC))
+        assert out.returncode == 0
+        assert __version__ in out.stdout + out.stderr
+
+    def test_memory_error_is_reported(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.0 TiB")
+        monkeypatch.setattr(brownian, "sample", exhausted)
+        code, out, err = run_cli(capsys, "spectrum", "--level", "40")
+        assert code == 1
+        assert out == ""
+        assert err == "error: Unable to allocate 8.0 TiB\n"
 
     def test_schema_is_valid_draft(self):
         VALIDATOR.check_schema(SCHEMA)
@@ -204,6 +223,13 @@ class TestPressure:
         assert rep["mean_log_lambda"] == pytest.approx(math.log(2), rel=1e-12)
         assert rep["stderr"] == 0.0
 
+    def test_zero_replicas_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "pressure", "--level", "5",
+                                 "--replicas", "0")
+        assert code == 1
+        assert out == ""
+        assert "need at least one replica" in err
+
 
 class TestMontecarlo:
     def test_batch_with_csv(self, capsys, tmp_path):
@@ -227,12 +253,15 @@ class TestMontecarlo:
         assert code == 0
         assert parse_checked(out)["report"]["expectation_band_ok"] is None
 
-    def test_worker_count_does_not_change_report(self, capsys):
-        argv = ["montecarlo", "--level", "6", "--replicas", "12", "--seed", "3"]
+    @pytest.mark.parametrize("argv", [
+        ["montecarlo", "--level", "6", "--replicas", "12", "--seed", "3"],
+        ["refine-study", "--levels", "5,7", "--replicas", "8", "--seed", "3"],
+    ], ids=["montecarlo", "refine-study"])
+    def test_worker_count_does_not_change_report(self, capsys, argv):
         _, out1, _ = run_cli(capsys, *argv, "--workers", "1")
         _, out2, _ = run_cli(capsys, *argv, "--workers", "2")
         r1, r2 = json.loads(out1)["report"], json.loads(out2)["report"]
-        r1.pop("wall_time"), r2.pop("wall_time")
+        r1.pop("wall_time", None), r2.pop("wall_time", None)
         assert r1 == r2
 
     def test_bad_workers_env(self, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,8 +7,12 @@ import pytest
 from ruelle_rand import brownian
 from ruelle_rand._rng import derive_seed
 from ruelle_rand.montecarlo import (ReplicaConfig, _replica_row, aggregate,
+                                    map_replicas, pressure_row,
                                     refinement_study, resolve_workers, run,
                                     run_replicas, tightened_upper_check)
+from ruelle_rand.pressure import pressure_sample
+from ruelle_rand.transfer import (TransferOperator, build_potential,
+                                  power_iterate)
 from ruelle_rand.symbolic import Alphabet
 
 B2 = Alphabet(2)
@@ -78,6 +83,24 @@ class TestReplicaRow:
         assert row.m1 >= 0.0 and row.m1 >= row.b1
 
 
+class TestPressureRow:
+    def test_matches_hand_built_sample(self):
+        cfg = ReplicaConfig(level=6, beta=1.0, master_seed=5, replicas=3)
+        grid = brownian.sample(6, B2, derive_seed(5, 2))
+        L = TransferOperator(build_potential(grid, 1.0))
+        want = pressure_sample(L, power_iterate(L), grid, kmax=8)
+        got = pressure_row(8, (cfg, 2))
+        assert got.log_lambda == want.log_lambda
+        assert np.array_equal(got.birkhoff, want.birkhoff)
+        assert (got.variational_lb, got.bernoulli_p, got.slack) == \
+            (want.variational_lb, want.bernoulli_p, want.slack)
+
+    def test_unconverged_is_none(self):
+        cfg = ReplicaConfig(level=8, beta=1.0, master_seed=1, replicas=2,
+                            max_iters=1)
+        assert map_replicas(partial(pressure_row, 4), cfg, workers=2) == [None, None]
+
+
 class TestDeterminism:
     def test_rows_independent_of_workers(self):
         cfg = ReplicaConfig(level=8, beta=1.0, master_seed=7, replicas=16)
@@ -87,8 +110,8 @@ class TestDeterminism:
 
     def test_report_independent_of_workers(self):
         cfg = ReplicaConfig(level=8, beta=1.0, master_seed=7, replicas=16)
-        d1 = run(cfg, workers=1).to_dict()
-        d2 = run(cfg, workers=2).to_dict()
+        d1 = run(cfg, workers=1)[1].to_dict()
+        d2 = run(cfg, workers=2)[1].to_dict()
         d1.pop("wall_time"), d2.pop("wall_time")
         assert d1 == d2
 
@@ -109,7 +132,7 @@ class TestDeterminism:
 
 class TestAggregate:
     def test_beta_zero_degenerate(self):
-        rep = run(ReplicaConfig(level=5, beta=0.0, master_seed=3, replicas=8))
+        rep = run(ReplicaConfig(level=5, beta=0.0, master_seed=3, replicas=8))[1]
         assert rep.n_converged == 8 and rep.n_failed == 0
         assert rep.mean_lambda == 2.0
         assert rep.stderr_lambda == 0.0
@@ -180,8 +203,3 @@ class TestTightenedUpper:
         assert out["mean_exp_m1"] > 1.0
         assert out["tightened_upper"] == pytest.approx(
             2 * out["mean_exp_m1"] + 3 * out["stderr_lambda"], rel=1e-14)
-
-    def test_rows_reuse_matches_fresh_run(self):
-        cfg = ReplicaConfig(level=6, beta=1.0, master_seed=21, replicas=12)
-        assert tightened_upper_check(cfg, rows=run_replicas(cfg)) == \
-            tightened_upper_check(cfg)

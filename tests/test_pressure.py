@@ -5,7 +5,7 @@ import pytest
 
 from ruelle_rand.brownian import sample
 from ruelle_rand.pressure import (bernoulli_lower_bound, birkhoff_pressure,
-                                  pressure_band, pressure_sample,
+                                  mean_stderr, pressure_band, pressure_sample,
                                   quenched_report, variational_slack)
 from ruelle_rand.symbolic import Alphabet, Word
 from ruelle_rand.transfer import (PotentialField, TransferOperator,
@@ -134,6 +134,17 @@ class TestPressureSample:
         assert s.variational_lb <= s.log_lambda + 1e-10
         assert 0 < s.bernoulli_p < 1
         assert s.slack > 0
+
+
+class TestMeanStderr:
+    def test_sample_formula(self):
+        v = np.array([1.0, 2.0, 4.0, 7.0])
+        mean, se = mean_stderr(v)
+        assert mean == 3.5
+        assert se == pytest.approx(np.std(v, ddof=1) / 2, rel=1e-15)
+
+    def test_single_sample_has_zero_stderr(self):
+        assert mean_stderr(np.array([2.5])) == (2.5, 0.0)
 
 
 class TestQuenchedReport:
