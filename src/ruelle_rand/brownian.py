@@ -18,6 +18,20 @@ from ._rng import level_stream
 from .symbolic import Alphabet
 
 
+# largest grid sample() and refine() build, in cells m^level: 128 MiB a
+# vector, of which a level-24 binary solve holds several
+MAX_CELLS = 2**24
+
+
+def check_cells(level: int, alphabet: Alphabet) -> None:
+    """Refuse a depth whose m^level cells exceed MAX_CELLS, before anything
+    that size is allocated."""
+    if alphabet.m**level > MAX_CELLS:
+        raise ValueError(f"level {level} over m={alphabet.m} has "
+                         f"{alphabet.m}^{level} cells, more than the budget "
+                         f"of {MAX_CELLS}")
+
+
 @dataclass(frozen=True)
 class BrownianGrid:
     """B at the grid points k / m^level, k = 0 .. m^level. values[0] == 0."""
@@ -82,6 +96,7 @@ def sample(level: int, alphabet: Alphabet = Alphabet(2), seed: int = 0,
     """
     if level < 0:
         raise ValueError("level must be >= 0")
+    check_cells(level, alphabet)
     m = alphabet.m
     if zero_noise:
         values = np.zeros(2)
@@ -94,6 +109,7 @@ def sample(level: int, alphabet: Alphabet = Alphabet(2), seed: int = 0,
 
 def refine(grid: BrownianGrid) -> BrownianGrid:
     """One bridge refinement: same path, one level deeper."""
+    check_cells(grid.level + 1, grid.alphabet)
     values = _fill_level(grid.values, grid.level, grid.alphabet.m,
                          grid.seed, grid.zero_noise)
     return BrownianGrid(grid.level + 1, grid.alphabet, values, grid.seed,

@@ -122,6 +122,7 @@ def _cmd_spectrum(args) -> int:
         "log_lambda": res.log_eigenvalue,
         "iterations": res.iterations,
         "residual": res.residual,
+        "cw_bracket": list(res.bracket),
         "converged": res.converged,
         "ratio_identity_gap": gap,
         "ratio_point": str(MAdicRational(1, 1, alphabet.m)),
@@ -139,6 +140,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_isometry_check(args) -> int:
     alphabet = _alphabet(args)
     m, n = alphabet.m, args.level
+    brownian.check_cells(n, alphabet)
     worst = 0.0
     failures = 0
     for trial in range(args.trials):

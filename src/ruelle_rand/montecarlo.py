@@ -214,6 +214,7 @@ def refinement_study(config: ReplicaConfig, levels,
         raise ValueError("levels must be strictly ascending")
     if len(levels) < 2:
         raise ValueError("need at least two levels")
+    brownian.check_cells(levels[-1], config.alphabet)
     # replicas x levels
     logs = np.array(map_replicas(partial(_study_row, levels), config, workers))
     drifts = np.mean(np.abs(np.diff(logs, axis=1)), axis=0)

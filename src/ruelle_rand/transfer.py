@@ -10,6 +10,11 @@ indices are a * m^(n-1) + k // m, so one application is a reshape, a sum
 over the leading letter, and a repeat. The left-endpoint convention puts
 B_0 = 0 into the operator exactly, which makes the eigenvalue ratio
 identity at the all-zeros word exact at every finite depth.
+
+Because Lf depends only on k // m, the Perron solve runs on the m^(n-1)
+quotient words. Word reversal R conjugates the adjoint of L to the
+operator of the reversed potential phi o R, so the same solve, run on
+phi o R, also gives the eigenmeasure nu.
 """
 
 from __future__ import annotations
@@ -22,10 +27,15 @@ from .brownian import BrownianGrid
 from .skorokhod import CylinderFunction, theta_inverse
 from .symbolic import Alphabet
 
-# beta * oscillation above which iteration moves to the log domain
-_LOG_DOMAIN_OSC = 30.0
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITERS = 100_000
+# an iterate whose entries span more than this ratio has its logs folded
+# into the weights, so the linear iteration never under- or overflows
+_FOLD_RANGE = 1e150
+# the shifted update starts once the CW width fails to halve over this many
+# iterations, counted from iteration n + _STALL_WINDOW on (L^n > 0, so an
+# earlier plateau is still mixing)
+_STALL_WINDOW = 10
 
 
 @dataclass(frozen=True)
@@ -54,7 +64,6 @@ class TransferOperator:
 
     def __init__(self, potential: PotentialField):
         self.potential = potential
-        self._weights = np.exp(potential.phi)
 
     @property
     def level(self) -> int:
@@ -66,7 +75,7 @@ class TransferOperator:
 
     def _apply(self, f: np.ndarray) -> np.ndarray:
         m = self.alphabet.m
-        G = self._weights * f
+        G = np.exp(self.potential.phi) * f
         return np.repeat(G.reshape(m, -1).sum(axis=0), m)
 
     def _apply_log(self, g: np.ndarray) -> np.ndarray:
@@ -77,23 +86,17 @@ class TransferOperator:
         S = amax + np.log(np.exp(A - amax).sum(axis=0))
         return np.repeat(S, m)
 
-    def _adjoint(self, nu: np.ndarray) -> np.ndarray:
-        m = self.alphabet.m
-        T = nu.reshape(-1, m).sum(axis=1)
-        return self._weights * np.tile(T, m)
-
-    def _adjoint_log(self, g: np.ndarray) -> np.ndarray:
-        m = self.alphabet.m
-        A = g.reshape(-1, m)
-        amax = A.max(axis=1)
-        T = amax + np.log(np.exp(A - amax[:, None]).sum(axis=1))
-        return self.potential.phi + np.tile(T, m)
-
 
 @dataclass(frozen=True)
 class SpectralResult:
     """Perron data of one operator. eigenvalue/log_eigenvalue are the JSON
-    report's lambda/log_lambda; h is normalized h[0^n] = 1, nu sums to 1."""
+    report's lambda/log_lambda; h is normalized h[0^n] = 1, nu sums to 1.
+
+    bracket is the Collatz-Wielandt certificate min(Lh/h) <= lambda <=
+    max(Lh/h) of h. iterations counts the operator applications of both
+    solves. An unconverged result stops after the right solve: nu is then
+    NaN, and h and bracket are its last iterate's.
+    """
 
     eigenvalue: float
     log_eigenvalue: float
@@ -102,6 +105,7 @@ class SpectralResult:
     iterations: int
     residual: float
     converged: bool
+    bracket: tuple[float, float]
 
 
 def build_potential(grid: BrownianGrid, beta: float) -> PotentialField:
@@ -116,95 +120,126 @@ def apply(L: TransferOperator, f: CylinderFunction) -> CylinderFunction:
     return CylinderFunction(L.level, L.alphabet, L._apply(f.values))
 
 
-def _iterate_linear(L: TransferOperator, tol: float, max_iters: int):
-    f = np.ones(L.alphabet.m**L.level)
-    lam_prev = np.inf
-    lam = np.nan
-    iters = 0
+def _reverse(x: np.ndarray, m: int, depth: int) -> np.ndarray:
+    """x o R on depth-letter words, R reversing the letters of a word."""
+    return x.reshape((m,) * depth).transpose().ravel()
+
+
+def _scaled_weights(phi3: np.ndarray, psi: np.ndarray):
+    """(W, c) with W[a, b, j] = exp(phi[a j b] + psi[a j] - psi[j b] - c) and
+    c the largest exponent, so W <= 1 for every potential. The last letter b
+    comes before j so that the contraction over a runs along j."""
+    m, inner, last = phi3.shape
+    E = np.empty((m, last, inner))
+    np.add(phi3.transpose(0, 2, 1),
+           np.broadcast_to(psi.reshape(-1, inner), (m, inner))[:, None, :],
+           out=E)
+    E -= psi.reshape(inner, last).T
+    c = float(E.max())
+    E -= c
+    return np.exp(E, out=E), c
+
+
+def _perron_core(phi: np.ndarray, m: int, n: int, tol: float, max_iters: int):
+    """Right Perron vector of the operator with potential phi, on the m^(n-1)
+    quotient words: (Lf)[k] depends only on j = k // m, and F[j] = f[j m]
+    obeys (QF)[j b] = sum_a exp(phi[a j b]) F[a j].
+
+    The true iterate is exp(psi) * F. F is iterated against the scaled
+    weights of _scaled_weights; when its entries span more than _FOLD_RANGE,
+    log F moves into psi and the weights are rebuilt, so one linear kernel
+    serves every beta. Stops when the Collatz-Wielandt bracket
+    [min QF/F, max QF/F] has relative width <= tol. The update is F <- QF
+    until the width stalls (near-cyclic large beta), then F <- QF + lo F,
+    which damps the eigenvalues near -lambda.
+
+    Returns (log H, c, lo, hi, iterations, converged, shift_at): H is the
+    quotient eigenvector, e^c lo <= lambda <= e^c hi its bracket, and
+    shift_at the iteration the shifted update began at (None if never).
+    """
+    inner, last = (m ** (n - 2), m) if n > 1 else (1, 1)
+    phi3 = phi.reshape(m, inner, last)
+    psi = np.zeros(inner * last)
+    W, c = _scaled_weights(phi3, psi)
+    F, S, r = np.ones(psi.size), np.empty(psi.size), np.empty(psi.size)
+    floor = top = 1.0  # bounds on min F and max F
+    widths = []
+    shift_at = None
     converged = False
-    for iters in range(1, max_iters + 1):
-        u = L._apply(f)
-        lam = u.max()
-        ratio_gap = np.max(np.abs(u / (lam * f) - 1.0))
-        if ratio_gap <= tol and abs(lam - lam_prev) <= tol * lam:
-            converged = True
+    for it in range(1, max_iters + 1):
+        heads = np.broadcast_to(F.reshape(-1, inner), (m, inner))
+        np.einsum("abj,aj->bj", W, heads, out=S.reshape(inner, last).T)
+        np.divide(S, F, out=r)
+        lo, hi = float(r.min()), float(r.max())
+        if not 0.0 < lo <= hi < np.inf:
             break
-        lam_prev = lam
-        f = u / lam
-
-    nu = np.full(f.size, 1.0 / f.size)
-    nlam_prev = np.inf
-    for _ in range(1, max_iters + 1):
-        v = L._adjoint(nu)
-        nlam = v.sum()
-        if (np.max(np.abs(v / (nlam * nu) - 1.0)) <= tol
-                and abs(nlam - nlam_prev) <= tol * nlam):
-            nu = v / nlam
+        width = (hi - lo) / hi
+        converged = width <= tol
+        if converged or it == max_iters:
             break
-        nlam_prev = nlam
-        nu = v / nlam
-
-    h = f / f[0]
-    residual = np.max(np.abs(L._apply(h) - lam * h)) / (lam * np.max(np.abs(h)))
-    return lam, float(np.log(lam)), h, nu, iters, float(residual), converged
-
-
-def _iterate_log(L: TransferOperator, tol: float, max_iters: int):
-    size = L.alphabet.m**L.level
-    g = np.zeros(size)
-    llam_prev = np.inf
-    llam = np.nan
-    iters = 0
-    converged = False
-    for iters in range(1, max_iters + 1):
-        G = L._apply_log(g)
-        llam = G.max()
-        ratio_gap = np.max(np.abs(G - g - llam))
-        if ratio_gap <= tol and abs(llam - llam_prev) <= tol:
-            converged = True
-            break
-        llam_prev = llam
-        g = G - llam
-
-    lnu = np.full(size, -np.log(size))
-    nlam_prev = np.inf
-    for _ in range(1, max_iters + 1):
-        v = L._adjoint_log(lnu)
-        vmax = v.max()
-        nlam = vmax + np.log(np.exp(v - vmax).sum())
-        if (np.max(np.abs(v - nlam - lnu)) <= tol
-                and abs(nlam - nlam_prev) <= tol):
-            lnu = v - nlam
-            break
-        nlam_prev = nlam
-        lnu = v - nlam
-
-    # residual in the scale-invariant form max|u - lam h| / (lam ||h||_inf),
-    # evaluated on h / ||h||_inf so extreme beta cannot overflow
-    G = L._apply_log(g)
-    gmax = g.max()
-    residual = np.max(np.abs(np.exp(G - llam - gmax) - np.exp(g - gmax)))
-    h = np.exp(g - g[0])
-    return float(np.exp(llam)), float(llam), h, np.exp(lnu), iters, float(residual), converged
+        widths.append(width)
+        if (shift_at is None and it >= n + _STALL_WINDOW
+                and width > 0.5 * widths[-1 - _STALL_WINDOW]):
+            shift_at = it
+        if shift_at is not None:
+            S += lo * F
+            floor, top = floor * 2 * lo, top * (hi + lo)
+        else:
+            floor, top = floor * lo, top * hi
+        F, S = S, F
+        if floor * _FOLD_RANGE < 1.0 or top > _FOLD_RANGE:
+            fmin, fmax = float(F.min()), float(F.max())
+            if fmin * _FOLD_RANGE < fmax:
+                psi += np.log(F)
+                W, c = _scaled_weights(phi3, psi)
+                F.fill(1.0)
+                floor = 1.0
+            else:
+                F /= fmax
+                floor = fmin / fmax
+            top = 1.0
+    return psi + np.log(F), c, lo, hi, it, converged, shift_at
 
 
 def power_iterate(L: TransferOperator, tol: float = DEFAULT_TOL,
                   max_iters: int = DEFAULT_MAX_ITERS) -> SpectralResult:
-    """Perron eigendata by power iteration from f = 1, the adjoint iteration
-    supplying nu. Stops when the pointwise eigen-ratio and successive
-    eigenvalue estimates both settle within tol (relative).
+    """Perron eigendata, certified by the Collatz-Wielandt bracket.
+
+    Two runs of one quotient core: on phi for h, then on phi o R for the
+    right vector h' of the reversed operator, which gives
+    nu[k] = exp(phi[k]) h'[R k] / norm. Each run stops when its bracket's
+    relative width is <= tol; the result is converged only if both are,
+    and a failed right run returns at once, spending at most max_iters
+    applications.
 
     Non-convergence is reported through the converged flag, never raised:
     replica batches must see the failure, not die on it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    m, n = L.alphabet.m, L.level
     phi = L.potential.phi
-    osc = float(phi.max() - phi.min())
-    if osc > _LOG_DOMAIN_OSC:
-        lam, llam, h, nu, iters, residual, ok = _iterate_log(L, tol, max_iters)
+    logH, c, lo, hi, iters, ok, _ = _perron_core(phi, m, n, tol, max_iters)
+    scale = float(np.exp(c))
+    lam = scale * (lo + hi) / 2
+    llam = c + float(np.log((lo + hi) / 2))
+    bracket = (scale * lo, scale * hi)
+    logh = np.repeat(logH, m)
+    # residual max|Lh - lam h| / (lam ||h||_inf), formed on h / ||h||_inf
+    # so that extreme beta cannot overflow
+    g = logh - logh.max()
+    residual = float(np.max(np.abs(np.exp(L._apply_log(g) - llam) - np.exp(g))))
+    h = np.exp(logh - logh[0])
+    if ok:
+        logH, _, _, _, rev_iters, ok, _ = _perron_core(
+            _reverse(phi, m, n), m, n, tol, max_iters)
+        iters += rev_iters
+        lnu = phi.reshape(-1, logH.size) + _reverse(logH, m, n - 1)
+        lnu -= lnu.max()
+        nu = np.exp(lnu, out=lnu).ravel()
+        nu /= nu.sum()
     else:
-        lam, llam, h, nu, iters, residual, ok = _iterate_linear(L, tol, max_iters)
+        nu = np.full(phi.size, np.nan)
     return SpectralResult(
         eigenvalue=lam,
         log_eigenvalue=llam,
@@ -213,6 +248,7 @@ def power_iterate(L: TransferOperator, tol: float = DEFAULT_TOL,
         iterations=iters,
         residual=residual,
         converged=ok,
+        bracket=bracket,
     )
 
 

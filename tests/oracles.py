@@ -36,3 +36,38 @@ def dense_perron(potential):
     nu = vecs_t[:, j].real
     nu = nu / nu.sum()
     return lam, h, nu
+
+
+def max_cycle_mean(values: np.ndarray, m: int) -> float:
+    """Karp's maximum cycle mean of the edge weights values[w] on the level-n
+    de Bruijn graph (n >= 2): vertices are the (n-1)-letter words, and the
+    n-letter word w = a u b is an edge from a u to u b.
+
+    D_k(v) is the heaviest walk of exactly k edges ending at v, from any
+    start (D_0 = 0). With N vertices, Karp's theorem gives
+    c* = max_v min_{0 <= k < N} (D_N(v) - D_k(v)) / (N - k). Two passes over
+    k keep the memory at O(N): the first finds D_N, the second the minimum.
+    """
+    N = values.size // m
+    w = values.reshape(m, N // m, m).transpose(0, 2, 1).copy()  # [a, b, u]
+
+    def step(D):
+        # D'(u b) = max_a D(a u) + w(a u b), written through a [b, u] view
+        out = np.empty(N)
+        view = out.reshape(N // m, m).T
+        Da = D.reshape(m, N // m)
+        np.add(Da[0], w[0], out=view)
+        for a in range(1, m):
+            np.maximum(view, Da[a] + w[a], out=view)
+        return out
+
+    D = np.zeros(N)
+    for _ in range(N):
+        D = step(D)
+    DN = D
+    best = np.full(N, np.inf)
+    D = np.zeros(N)
+    for k in range(N):
+        best = np.minimum(best, (DN - D) / (N - k))
+        D = step(D)
+    return float(best.max())

@@ -11,9 +11,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from ruelle_rand import __version__, brownian
+from ruelle_rand import __version__, brownian, cli
 from ruelle_rand.cli import dispatch
 from ruelle_rand.report import schema_text
+from ruelle_rand.symbolic import Alphabet
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -145,6 +146,33 @@ class TestUsage:
         assert out == ""
         assert err == "error: Unable to allocate 8.0 TiB\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--level", "40"),
+        ("sample-path", "--level", "25"),
+        ("isometry-check", "--level", "16", "--alphabet", "3"),
+        ("montecarlo", "--level", "30", "--replicas", "2"),
+        ("pressure", "--level", "30", "--replicas", "2"),
+        ("refine-study", "--levels", "4,25", "--replicas", "1"),
+    ], ids=lambda a: a[0])
+    def test_cell_budget_refused_before_allocating(self, capsys, monkeypatch,
+                                                   argv):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("random draws past the cell budget")
+        monkeypatch.setattr(brownian, "level_stream", no_draws)
+        monkeypatch.setattr(cli, "level_stream", no_draws)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "cells, more than the budget of 16777216" in err
+
+    def test_cell_budget_boundary(self):
+        brownian.check_cells(24, Alphabet(2))
+        brownian.check_cells(15, Alphabet(3))
+        with pytest.raises(ValueError):
+            brownian.check_cells(25, Alphabet(2))
+        with pytest.raises(ValueError):
+            brownian.check_cells(16, Alphabet(3))
+
     def test_schema_is_valid_draft(self):
         VALIDATOR.check_schema(SCHEMA)
 
@@ -221,6 +249,21 @@ class TestSpectrum:
         assert rep["ratio_identity_gap"] <= 1e-10
         assert rep["lambda"] > 1.0
         assert rep["log_lambda"] == pytest.approx(math.log(rep["lambda"]), rel=1e-14)
+        lo, hi = rep["cw_bracket"]
+        assert lo <= rep["lambda"] <= hi
+        assert hi - lo <= 1e-12 * hi
+
+    def test_near_cyclic_large_beta_certified(self, capsys):
+        # spectrum-hot's near-cyclic path (arg lambda_2 = pi); the interval
+        # is the Collatz-Wielandt bracket of an independent shifted solve
+        code, out, _ = run_cli(capsys, "spectrum", "--level", "12", "--seed",
+                               "0", "--beta", "10")
+        assert code == 0
+        rep = parse_checked(out)["report"]
+        assert rep["converged"] is True
+        lo, hi = 993.7915034005943, 993.7915034006005
+        assert lo * (1 - 1e-9) <= rep["lambda"] <= hi * (1 + 1e-9)
+        assert rep["iterations"] < 1000
 
     def test_beta_warning_with_zero_noise(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--level", "4",

@@ -7,8 +7,10 @@ from oracles import dense_matrix, dense_perron
 from ruelle_rand.brownian import sample
 from ruelle_rand.skorokhod import CylinderFunction
 from ruelle_rand.symbolic import Alphabet
-from ruelle_rand.transfer import (DEFAULT_TOL, PotentialField,
-                                  TransferOperator, apply, build_potential,
+from ruelle_rand.transfer import (DEFAULT_MAX_ITERS, DEFAULT_TOL,
+                                  PotentialField, TransferOperator,
+                                  _perron_core, _reverse, apply,
+                                  build_potential,
                                   functional_equation_residual,
                                   gelfand_sequence, pathwise_bounds,
                                   power_iterate, ratio_representation)
@@ -111,6 +113,7 @@ class TestPowerIterate:
         assert np.all(r.h.values == 1.0)
         assert np.allclose(r.nu, 1 / 256, rtol=1e-12)
         assert r.residual == 0.0
+        assert r.bracket == (2.0, 2.0)
 
     def test_constant_potential(self):
         r = power_iterate(flat_op(5, 0.9))
@@ -148,13 +151,67 @@ class TestPowerIterate:
         assert r.iterations == 1
         assert r.residual > 1e-6  # negative control
 
+    def test_failed_right_solve_skips_the_reversed_one(self):
+        L, _ = seeded_op(8, 43)
+        r = power_iterate(L, max_iters=5)
+        assert not r.converged
+        assert r.iterations == 5
+        assert np.all(np.isnan(r.nu))
+
+    def test_unconverged_reversed_solve_is_flagged(self):
+        L, _ = seeded_op(8, 44)
+        phi = L.potential.phi
+        right = _perron_core(phi, 2, 8, DEFAULT_TOL, DEFAULT_MAX_ITERS)[4]
+        rev = _perron_core(_reverse(phi, 2, 8), 2, 8, DEFAULT_TOL,
+                           DEFAULT_MAX_ITERS)[4]
+        assert right < rev  # this path's reversed solve is the slower one
+        r = power_iterate(L, max_iters=right)
+        assert not r.converged
+        assert r.iterations == 2 * right
+        assert r.residual <= 1e-11  # the right solve itself converged
+
+    def test_iterations_count_both_solves(self):
+        L, _ = seeded_op(10, 45)
+        phi = L.potential.phi
+        counts = [_perron_core(p, 2, 10, DEFAULT_TOL, DEFAULT_MAX_ITERS)[4]
+                  for p in (phi, _reverse(phi, 2, 10))]
+        r = power_iterate(L)
+        assert r.converged
+        assert r.iterations == sum(counts)
+
+    @pytest.mark.parametrize("alphabet,level,seed,beta",
+                             [(B2, 10, 46, 1.0), (B3, 6, 47, 1.0),
+                              (B2, 12, 0, 10.0)])
+    def test_bracket_certifies_eigenvalue(self, alphabet, level, seed, beta):
+        L, _ = seeded_op(level, seed, beta=beta, alphabet=alphabet)
+        r = power_iterate(L)
+        lo, hi = r.bracket
+        assert r.converged
+        assert lo <= r.eigenvalue <= hi
+        assert hi - lo <= DEFAULT_TOL * hi
+        # the bracket is h's own Collatz-Wielandt bracket, up to rounding
+        ratio = apply(L, r.h).values / r.h.values
+        assert ratio.min() == pytest.approx(lo, rel=1e-13)
+        assert ratio.max() == pytest.approx(hi, rel=1e-13)
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_shallow_levels(self, level):
+        for alphabet in (B2, B3):
+            L, _ = seeded_op(level, 48, alphabet=alphabet)
+            r = power_iterate(L)
+            lam, h, nu = dense_perron(L.potential)
+            assert r.converged
+            assert abs(r.eigenvalue - lam) / lam <= 1e-9
+            assert np.allclose(r.h.values, h, rtol=1e-9)
+            assert np.allclose(r.nu, nu, rtol=1e-9)
+
     def test_bad_tol_rejected(self):
         L, _ = seeded_op(3, 1)
         with pytest.raises(ValueError):
             power_iterate(L, tol=0.0)
 
     def test_log_domain_large_beta_matches_dense(self):
-        # beta * oscillation far beyond the linear-domain threshold
+        # beta * oscillation > 30: weights spanning more than 13 decades
         L, _ = seeded_op(4, 51, beta=50.0)
         assert L.potential.phi.max() - L.potential.phi.min() > 30
         r = power_iterate(L)
@@ -187,6 +244,32 @@ class TestPowerIterate:
         bigger = TransferOperator(PotentialField(
             6, B2, 1.0, np.array(L.potential.phi) + bump))
         assert power_iterate(L).eigenvalue <= power_iterate(bigger).eigenvalue
+
+
+class TestShift:
+    def test_never_engages_at_unit_beta(self):
+        # beta = 1 converges on the plain power step; a stall trigger that
+        # fires here costs spectrum-deep 30-100% more iterations
+        engaged = []
+        for alphabet, levels in ((B2, range(8, 17)), (B3, range(5, 11))):
+            m = alphabet.m
+            for n in levels:
+                for seed in range(16):
+                    phi = seeded_op(n, seed, alphabet=alphabet)[0].potential.phi
+                    for p in (phi, _reverse(phi, m, n)):
+                        out = _perron_core(p, m, n, DEFAULT_TOL,
+                                           DEFAULT_MAX_ITERS)
+                        if out[6] is not None or not out[5]:
+                            engaged.append((m, n, seed, out[4:]))
+        assert engaged == []
+
+    def test_engages_on_the_near_cyclic_path(self):
+        # spectrum --level 12 --seed 0 --beta 10: arg lambda_2 = pi
+        phi = seeded_op(12, 0, beta=10.0)[0].potential.phi
+        _, _, _, _, iters, ok, shift_at = _perron_core(
+            phi, 2, 12, DEFAULT_TOL, DEFAULT_MAX_ITERS)
+        assert ok and shift_at is not None and shift_at >= 12 + 10
+        assert iters < 200
 
 
 class TestGelfand:
