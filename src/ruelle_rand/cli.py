@@ -109,6 +109,9 @@ def _cmd_spectrum(args) -> int:
                            zero_noise=args.zero_noise)
     L = TransferOperator(build_potential(grid, beta))
     res = power_iterate(L)
+    if math.isinf(res.eigenvalue):
+        raise ValueError(f"lambda = exp(log_lambda) with log_lambda = "
+                         f"{res.log_eigenvalue:.17g} overflows float64")
     ratio = ratio_representation(L, res, grid)
     gap = abs(ratio - res.eigenvalue) / res.eigenvalue
     bounds = pathwise_bounds(L, res, grid)
@@ -176,12 +179,12 @@ def _cmd_isometry_check(args) -> int:
 def _cmd_pressure(args) -> int:
     config = _replica_config(args, args.level)
     results = montecarlo.map_replicas(
-        partial(montecarlo.pressure_row, args.kmax), config, workers=1)
+        partial(montecarlo.pressure_row, args.kmax), config, args.workers)
     samples = [s for s in results if s is not None]
     if not samples:
         sys.stderr.write("error: all replicas failed to converge\n")
         return _VIOLATION_EXIT
-    rep = pressure.quenched_report(samples, config.alphabet)
+    rep = pressure.quenched_report(samples, config.alphabet, config.beta)
     rep["n_failed"] = len(results) - len(samples)
     if args.emit_birkhoff:
         rows = [(k + 1, float(v)) for k, v in enumerate(samples[0].birkhoff)]
@@ -287,6 +290,11 @@ def _add_common(p, *, beta_default=1.0, beta_sentinel=False):
                        help="potential scale (default 1)")
 
 
+def _add_workers(p):
+    p.add_argument("--workers", type=int, default=None,
+                   help=f"parallel workers (default ${montecarlo.WORKERS_ENV} or 1)")
+
+
 def build_parser() -> _Parser:
     root = _Parser(prog="ruelle-rand",
                    description="Transfer-operator spectra, quenched pressure, "
@@ -326,14 +334,14 @@ def build_parser() -> _Parser:
                    help="Birkhoff iterate depth per sample (default 32)")
     p.add_argument("--emit-birkhoff", metavar="FILE",
                    help="CSV (k, value) of the first replica's iterates")
+    _add_workers(p)
     _add_common(p)
     p.set_defaults(func=_cmd_pressure)
 
     p = sub.add_parser("montecarlo", help="replica study of the eigenvalue law")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--replicas", type=int, default=1024)
-    p.add_argument("--workers", type=int, default=None,
-                   help=f"parallel workers (default ${montecarlo.WORKERS_ENV} or 1)")
+    _add_workers(p)
     p.add_argument("--csv", metavar="FILE",
                    help="per-replica CSV (seed, lambda, log_lambda, M1, B1)")
     _add_common(p)
@@ -343,7 +351,7 @@ def build_parser() -> _Parser:
     p.add_argument("--levels", default="6,8,10,12",
                    help="comma-separated ascending levels")
     p.add_argument("--replicas", type=int, default=256)
-    p.add_argument("--workers", type=int, default=None)
+    _add_workers(p)
     _add_common(p)
     p.set_defaults(func=_cmd_refine_study)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import time
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -228,15 +229,22 @@ def refinement_study(config: ReplicaConfig, levels,
 
 def tightened_upper_check(config: ReplicaConfig, rows: list[ReplicaRow]) -> dict:
     """Expectation bounds on a batch's mean lambda: the a priori band upper
-    2m e^(1/2), and the sharper empirical mean_lambda <= m * mean(e^M1)
-    + 3 stderr."""
+    2m e^(beta^2 / 2), and the sharper empirical mean_lambda <= m *
+    mean(e^M1) + 3 stderr.
+
+    The band follows from lambda <= m e^(beta M1) on every path and
+    E e^(beta M1) = E e^(beta |B_1|) <= 2 e^(beta^2 / 2) (reflection
+    principle). Past float64 it saturates at the largest float, which
+    mean_lambda, itself a float, cannot exceed."""
     good = [r for r in rows if r.converged]
     if not good:
         raise RuntimeError("all replicas failed to converge")
     mean_lambda, stderr = mean_stderr(np.array([r.eigenvalue for r in good]))
     exp_m1 = np.exp(np.array([r.m1 for r in good]))
     m = config.alphabet.m
-    band_upper = 2 * m * math.exp(0.5)
+    # math.exp raises past 709.78, and 2m e^709 is already out of range
+    band_upper = min(2 * m * math.exp(min(config.beta**2 / 2, 709.0)),
+                     sys.float_info.max)
     tightened = m * float(exp_m1.mean()) + 3 * stderr
     return {
         "mean_lambda": mean_lambda,

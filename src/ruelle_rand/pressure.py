@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .brownian import BrownianGrid, stats
+from .brownian import MAX_CELLS, BrownianGrid, stats
 from .symbolic import Alphabet, Word, word_index
 from .transfer import (PotentialField, SpectralResult, TransferOperator,
                        log_power_iterates)
@@ -57,11 +58,50 @@ def mean_stderr(v: np.ndarray) -> tuple[float, float]:
     return float(v.mean()), se
 
 
-def _letter_weights(p: float, m: int) -> np.ndarray:
-    """Binomial(m-1, p) letter law; reduces to (1-p, p) for m = 2."""
-    a = np.arange(m)
-    return (np.array([math.comb(m - 1, int(k)) for k in a], dtype=float)
-            * p**a * (1 - p) ** (m - 1 - a))
+@lru_cache(maxsize=16)
+def _log_comb(N: int) -> np.ndarray:
+    """log C(N, k) for k = 0..N, each rounded once from the exact integer."""
+    out, c = np.empty(N + 1), 1
+    for k in range(N + 1):
+        out[k] = math.log(c)
+        c = c * (N - k) // (k + 1)
+    out.setflags(write=False)
+    return out
+
+
+def _log_binomial(N: int, p: np.ndarray) -> np.ndarray:
+    """log Binomial(N, p) pmf: row i holds k = 0..N at p[i]."""
+    k = np.arange(N + 1)
+    p = p[:, None]
+    return _log_comb(N) + k * np.log(p) + (N - k) * np.log1p(-p)
+
+
+@lru_cache(maxsize=4)
+def _digit_tables(m: int, n: int):
+    """(s, r) over the depth-n words: s[w] the digit sum, and
+    r[w] = C(w) / C(N, s[w]) with C(w) = prod_i C(m-1, w_i) and N = n(m-1).
+
+    Both depend on (m, n) alone, so every replica of a batch shares them.
+    For m = 2, C(w) = 1 and r is the per-sum constant 1 / C(N, s): r is
+    None. Vandermonde's identity makes each sum class's r add up to 1, so
+    r stays in (0, 1] at every alphabet size where C(w) itself overflows.
+    """
+    N = n * (m - 1)
+    a = np.arange(m, dtype=np.min_scalar_type(N))
+    s = np.zeros(1, dtype=a.dtype)
+    for _ in range(n):
+        s = (a[:, None] + s).ravel()
+    s.setflags(write=False)
+    if m == 2:
+        return s, None
+    lc_letter = _log_comb(m - 1)
+    log_c = np.zeros(1)
+    for _ in range(n):
+        log_c = (lc_letter[:, None] + log_c).ravel()
+    log_c -= _log_comb(N)[s]
+    r = np.exp(log_c, out=log_c)
+    r.setflags(write=False)
+    return s, r
 
 
 def bernoulli_lower_bound(potential: PotentialField,
@@ -71,7 +111,14 @@ def bernoulli_lower_bound(potential: PotentialField,
         value(p) = entropy(q_p) + sum_w mu_p([w]) phi[w]
 
     with q_p the per-letter law (Binomial(m-1, p); for m = 2 the familiar
-    (1-p, p)) and mu_p the product measure. Returns (best_value, best_p).
+    (1-p, p)) and mu_p the product measure. Returns (best_value, best_p),
+    the first maximum along p_grid.
+
+    One pass over the words serves the whole grid. Under mu_p the digit sum
+    s(w) is Binomial(N, p) with N = n(m-1), and given s the word has the
+    p-free law r(w) = C(w) / C(N, s) of _digit_tables, since
+    mu_p([w]) = C(w) p^s (1-p)^(N-s). So the integral is
+    sum_s Binomial(N, p)(s) E[phi | s], and E[phi | s] is one bincount.
     """
     p_grid = np.asarray(p_grid, dtype=float)
     if p_grid.size == 0:
@@ -80,29 +127,36 @@ def bernoulli_lower_bound(potential: PotentialField,
         raise ValueError("p grid must lie inside (0, 1)")
     m = potential.alphabet.m
     n = potential.level
-    best_value, best_p = -np.inf, p_grid[0]
-    for p in p_grid:
-        q = _letter_weights(float(p), m)
-        entropy = float(-(q * np.log(q)).sum())
-        integral = potential.phi
-        for _ in range(n):
-            integral = q @ integral.reshape(m, -1)
-        value = entropy + float(integral[0])
-        if value > best_value:
-            best_value, best_p = value, float(p)
-    return best_value, best_p
+    N = n * (m - 1)
+    if p_grid.size * (N + 1) > MAX_CELLS:
+        raise ValueError(f"Bernoulli bound over {p_grid.size} values of p and "
+                         f"{N + 1} digit sums exceeds the budget of {MAX_CELLS}")
+    s, r = _digit_tables(m, n)
+    phi = potential.phi
+    if r is None:  # m = 2
+        cond = np.bincount(s, weights=phi, minlength=N + 1)
+        cond *= np.exp(-_log_comb(N))
+    else:
+        cond = np.bincount(s, weights=r * phi, minlength=N + 1)
+    log_q = _log_binomial(m - 1, p_grid)
+    entropy = -(np.exp(log_q) * log_q).sum(axis=1)
+    values = entropy + np.exp(_log_binomial(N, p_grid)) @ cond
+    best = int(np.argmax(values))
+    return float(values[best]), float(p_grid[best])
 
 
 def variational_slack(grid: BrownianGrid, beta: float,
                       gamma: float = SLACK_GAMMA) -> float:
-    """Depth-n discretization allowance 2 * beta * holder * 2^(-gamma n).
+    """Depth-n discretization allowance 2 * beta * holder * m^(-gamma n),
+    with m^(-n) the cell span over which stats measures the Holder constant.
 
     Heuristic, reported never silently absorbed; at finite depth the
     Bernoulli bound is exact for the discretized system, so healthy runs
     never come near it.
     """
     holder = stats(grid, gamma).holder_constant
-    return 2.0 * beta * holder * 2.0 ** (-gamma * grid.level)
+    m = float(grid.alphabet.m)
+    return 2.0 * beta * holder * m ** (-gamma * grid.level)
 
 
 def pressure_sample(L: TransferOperator, result: SpectralResult,
@@ -120,22 +174,31 @@ def pressure_sample(L: TransferOperator, result: SpectralResult,
     )
 
 
-def pressure_band(alphabet: Alphabet) -> tuple[float, float]:
-    """A priori quenched-pressure band [0, log(2m) + 1/2]."""
-    return 0.0, math.log(2 * alphabet.m) + 0.5
+def pressure_band(alphabet: Alphabet, beta: float = 1.0) -> tuple[float, float]:
+    """A priori quenched-pressure band [0, log(2m) + beta^2 / 2].
+
+    Floor: lambda is at least the diagonal entry exp(phi[0^n]) = 1, since
+    B_0 = 0, so log lambda >= 0 on every path. Ceiling: lambda <=
+    m exp(beta M1) pathwise (M1 = max B on [0, 1]); M1 has the law of |B_1|
+    (reflection principle), so E exp(beta M1) <= 2 exp(beta^2 / 2), and
+    Jensen's inequality gives E log lambda <= log E lambda <=
+    log(2m) + beta^2 / 2.
+    """
+    return 0.0, math.log(2 * alphabet.m) + beta**2 / 2
 
 
 def quenched_report(samples: list[PressureSample],
-                    alphabet: Alphabet = Alphabet(2)) -> dict:
+                    alphabet: Alphabet = Alphabet(2),
+                    beta: float = 1.0) -> dict:
     """Batch aggregation: mean and standard error of log lambda, the Jensen
-    ordering mean(log) <= log(mean), the a priori band check, and the worst
-    variational gap (most positive variational_lb - log_lambda)."""
+    ordering mean(log) <= log(mean), the a priori band check at beta, and
+    the worst variational gap (most positive variational_lb - log_lambda)."""
     if not samples:
         raise ValueError("no samples")
     logs = np.array([s.log_lambda for s in samples])
     lams = np.exp(logs)
     mean_log, stderr = mean_stderr(logs)
-    lo, hi = pressure_band(alphabet)
+    lo, hi = pressure_band(alphabet, beta)
     gaps = np.array([s.variational_lb - s.log_lambda for s in samples])
     slacks = np.array([s.slack for s in samples])
     return {

@@ -95,7 +95,8 @@ class SpectralResult:
     bracket is the Collatz-Wielandt certificate min(Lh/h) <= lambda <=
     max(Lh/h) of h. iterations counts the operator applications of both
     solves. An unconverged result stops after the right solve: nu is then
-    NaN, and h and bracket are its last iterate's.
+    NaN, and h and bracket are its last iterate's. A lambda past the
+    float64 range is inf, while log_eigenvalue stays finite.
     """
 
     eigenvalue: float
@@ -220,7 +221,8 @@ def power_iterate(L: TransferOperator, tol: float = DEFAULT_TOL,
     m, n = L.alphabet.m, L.level
     phi = L.potential.phi
     logH, c, lo, hi, iters, ok, _ = _perron_core(phi, m, n, tol, max_iters)
-    scale = float(np.exp(c))
+    with np.errstate(over="ignore"):  # lambda past float64 becomes inf
+        scale = float(np.exp(c))
     lam = scale * (lo + hi) / 2
     llam = c + float(np.log((lo + hi) / 2))
     bracket = (scale * lo, scale * hi)

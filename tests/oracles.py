@@ -2,8 +2,12 @@
 
 Everything here goes through a different route than the code under test:
 the dense matrix is assembled word by word from shift_preimages, spectra
-come from numpy's general eigensolver, integrals from scipy quadrature.
+come from numpy's general eigensolver, integrals from scipy quadrature,
+and the Bernoulli variational values from one product-measure reduction
+per p.
 """
+
+import math
 
 import numpy as np
 
@@ -71,3 +75,20 @@ def max_cycle_mean(values: np.ndarray, m: int) -> float:
         best = np.minimum(best, (DN - D) / (N - k))
         D = step(D)
     return float(best.max())
+
+
+def bernoulli_values(potential, p_grid) -> np.ndarray:
+    """entropy(q_p) + sum_w mu_p([w]) phi[w] at each p of p_grid, with q_p
+    the Binomial(m-1, p) letter law and mu_p its product measure: the
+    integral contracts one letter at a time, n passes per p."""
+    m, n = potential.alphabet.m, potential.level
+    a = np.arange(m)
+    comb = np.array([math.comb(m - 1, int(k)) for k in a], dtype=float)
+    values = []
+    for p in np.asarray(p_grid, dtype=float):
+        q = comb * p**a * (1 - p) ** (m - 1 - a)
+        integral = potential.phi
+        for _ in range(n):
+            integral = q @ integral.reshape(m, -1)
+        values.append(float(-(q * np.log(q)).sum()) + float(integral[0]))
+    return np.array(values)

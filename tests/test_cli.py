@@ -265,6 +265,19 @@ class TestSpectrum:
         assert lo * (1 - 1e-9) <= rep["lambda"] <= hi * (1 + 1e-9)
         assert rep["iterations"] < 1000
 
+    def test_lambda_overflow_is_stated(self):
+        # a fresh interpreter, so that any RuntimeWarning reaches stderr
+        out = subprocess.run([sys.executable, "-m", "ruelle_rand.cli",
+                              "spectrum", "--level", "8", "--seed", "1",
+                              "--beta", "1000"],
+                             capture_output=True, text=True, timeout=60,
+                             env=dict(os.environ, PYTHONPATH=SRC))
+        assert out.returncode == 1
+        assert out.stdout == ""
+        [line] = out.stderr.splitlines()
+        assert line.startswith("error: ")
+        assert "log_lambda = 1339.19" in line and "overflows float64" in line
+
     def test_beta_warning_with_zero_noise(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--level", "4",
                                "--zero-noise", "--beta", "2.0")
@@ -336,6 +349,26 @@ class TestPressure:
         assert rep["mean_log_lambda"] == pytest.approx(math.log(2), rel=1e-12)
         assert rep["stderr"] == 0.0
 
+    @pytest.mark.parametrize("beta", [2.0, 4.0, 6.0])
+    def test_band_holds_at_beta(self, capsys, beta):
+        code, out, _ = run_cli(capsys, "pressure", "--level", "10",
+                               "--replicas", "16", "--beta", str(beta),
+                               "--seed", "0")
+        assert code == 0
+        rep = parse_checked(out)["report"]
+        assert rep["bounds_ok"] is True
+        assert rep["band"] == [0.0, math.log(4) + beta**2 / 2]
+
+    def test_band_holds_at_large_beta(self, capsys):
+        # the exit code is left out: one of these replicas has lambda - 1
+        # below float64 resolution, so its log lambda > 0 cannot be shown
+        _, out, _ = run_cli(capsys, "pressure", "--level", "8",
+                            "--replicas", "8", "--beta", "10")
+        rep = parse_checked(out)["report"]
+        assert rep["n_failed"] == 0
+        assert rep["mean_log_lambda"] > math.log(4) + 0.5
+        assert rep["bounds_ok"] is True
+
     def test_zero_replicas_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "pressure", "--level", "5",
                                  "--replicas", "0")
@@ -369,7 +402,9 @@ class TestMontecarlo:
     @pytest.mark.parametrize("argv", [
         ["montecarlo", "--level", "6", "--replicas", "12", "--seed", "3"],
         ["refine-study", "--levels", "5,7", "--replicas", "8", "--seed", "3"],
-    ], ids=["montecarlo", "refine-study"])
+        ["pressure", "--level", "6", "--replicas", "12", "--seed", "3",
+         "--kmax", "8"],
+    ], ids=["montecarlo", "refine-study", "pressure"])
     def test_worker_count_does_not_change_report(self, capsys, argv):
         _, out1, _ = run_cli(capsys, *argv, "--workers", "1")
         _, out2, _ = run_cli(capsys, *argv, "--workers", "2")

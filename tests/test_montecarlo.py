@@ -1,4 +1,6 @@
 import math
+import sys
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -203,3 +205,12 @@ class TestTightenedUpper:
         assert out["mean_exp_m1"] > 1.0
         assert out["tightened_upper"] == pytest.approx(
             2 * out["mean_exp_m1"] + 3 * out["stderr_lambda"], rel=1e-14)
+
+    def test_band_upper_at_beta(self, healthy_rows):
+        cfg, rows = healthy_rows
+        out = tightened_upper_check(replace(cfg, beta=3.0), rows)
+        assert out["band_upper"] == pytest.approx(4 * math.exp(4.5), rel=1e-15)
+        # 4 e^800 is past float64: the band saturates at the largest float
+        out = tightened_upper_check(replace(cfg, beta=40.0), rows)
+        assert out["band_upper"] == sys.float_info.max
+        assert out["band_bound_ok"]

@@ -3,16 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from ruelle_rand.brownian import sample
-from ruelle_rand.pressure import (bernoulli_lower_bound, birkhoff_pressure,
+from oracles import bernoulli_values
+from ruelle_rand.brownian import sample, stats
+from ruelle_rand.pressure import (DEFAULT_P_GRID, _digit_tables,
+                                  bernoulli_lower_bound, birkhoff_pressure,
                                   mean_stderr, pressure_band, pressure_sample,
                                   quenched_report, variational_slack)
-from ruelle_rand.symbolic import Alphabet, Word
+from ruelle_rand.symbolic import Alphabet, Word, all_words
 from ruelle_rand.transfer import (PotentialField, TransferOperator,
                                   build_potential, power_iterate)
 
 B2 = Alphabet(2)
 B3 = Alphabet(3)
+# (m, n) for the oracle comparison: depths up to 16 at m = 2
+ORACLE_CASES = ([(2, n) for n in (1, 2, 5, 10, 16)]
+                + [(3, 1), (3, 4), (3, 8), (4, 3), (4, 6), (5, 2), (5, 5),
+                   (16, 1), (16, 3), (16, 4)])
 
 
 def seeded(level, seed, beta=1.0, alphabet=B2):
@@ -93,6 +99,36 @@ class TestBernoulliBound:
             value, _ = bernoulli_lower_bound(L.potential)
             assert value <= r.log_eigenvalue + 1e-10
 
+    @pytest.mark.parametrize("m,n", ORACLE_CASES)
+    def test_matches_per_p_oracle(self, m, n):
+        rng = np.random.default_rng(100 * m + n)
+        for seed in range(16):
+            pot = build_potential(sample(n, Alphabet(m), seed), 1.0)
+            scale = 1.0 + float(np.abs(pot.phi).max())
+            random_grid = rng.uniform(0.001, 0.999, int(rng.integers(1, 40)))
+            for p_grid in (DEFAULT_P_GRID, random_grid):
+                ref = bernoulli_values(pot, p_grid)
+                value, p = bernoulli_lower_bound(pot, p_grid)
+                best = int(np.argmax(ref))
+                assert abs(value - ref[best]) <= 1e-13 * scale
+                top_two = np.sort(ref)[-2:]
+                if ref.size == 1 or top_two[1] - top_two[0] > 1e-12:
+                    assert p == p_grid[best]
+
+    def test_digit_tables(self):
+        s, r = _digit_tables(3, 4)
+        assert s.tolist() == [sum(w.letters) for w in all_words(4, B3)]
+        # r is the law of the word given its digit sum
+        assert np.allclose(np.bincount(s, weights=r), 1.0, rtol=1e-14, atol=0)
+        assert _digit_tables(3, 4)[0] is s
+        assert _digit_tables(2, 6)[1] is None
+
+    def test_grid_over_cell_budget_refused(self):
+        m = 2**18
+        pot = PotentialField(1, Alphabet(m), 1.0, np.zeros(m))
+        with pytest.raises(ValueError, match="budget"):
+            bernoulli_lower_bound(pot)
+
     def test_bad_grid_rejected(self):
         phi = np.zeros(4)
         pot = PotentialField(2, B2, 1.0, phi)
@@ -111,6 +147,12 @@ class TestSlack:
         C = stats(g, 0.4).holder_constant
         assert variational_slack(g, 2.0) == pytest.approx(
             2 * 2.0 * C * 2 ** (-0.4 * 10), rel=1e-14)
+
+    def test_m_adic_span(self):
+        g = sample(6, B3, 5)
+        C = stats(g, 0.4).holder_constant
+        assert variational_slack(g, 1.5) == pytest.approx(
+            2 * 1.5 * C * 3 ** (-0.4 * 6), rel=1e-14)
 
     def test_zero_beta_zero_slack(self):
         g = sample(6, B2, 5)
@@ -180,6 +222,10 @@ class TestQuenchedReport:
     def test_band_values(self):
         assert pressure_band(B2) == (0.0, math.log(4) + 0.5)
         assert pressure_band(B3) == (0.0, math.log(6) + 0.5)
+
+    def test_band_at_beta(self):
+        assert pressure_band(B2, 4.0) == (0.0, math.log(4) + 8.0)
+        assert pressure_band(B3, 0.0) == (0.0, math.log(6))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
