@@ -37,3 +37,20 @@ def level_stream(seed: int, level: int) -> np.random.Generator:
     """Independent innovation stream for one refinement level of one path."""
     key = np.array([seed & _MASK64, level], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def rekey(stream: np.random.Generator, seed: int, level: int) -> None:
+    """Restart stream, a Generator over Philox, as level_stream(seed, level):
+    key (seed, level), counter 0, empty buffer. Assigning the state skips
+    the OS entropy and SeedSequence that constructing a Philox draws and
+    discards, so one stream re-keyed per level is the cheap way through
+    the levels of one path."""
+    stream.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array([seed & _MASK64, level], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }

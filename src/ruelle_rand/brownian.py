@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import level_stream
+from ._rng import level_stream, rekey
 from .symbolic import Alphabet
 
 
@@ -65,17 +65,20 @@ class PathStats:
     gamma: float
 
 
-def _fill_level(old: np.ndarray, level: int, m: int, seed: int, zero_noise: bool) -> np.ndarray:
-    """Bridge-fill the interior points taking level -> level + 1."""
+def _fill_level(old: np.ndarray, level: int, m: int,
+                stream: np.random.Generator | None) -> np.ndarray:
+    """Bridge-fill the interior points taking level -> level + 1, with
+    innovations drawn from stream, the stream of level + 1 (None for zero
+    noise)."""
     K = m**level
     span = float(m) ** (-level)
     delta = span / m
     new = np.empty(K * m + 1)
     new[::m] = old
-    if zero_noise:
+    if stream is None:
         z = np.zeros((K, m - 1))
     else:
-        z = level_stream(seed, level + 1).standard_normal((K, m - 1))
+        z = stream.standard_normal((K, m - 1))
     prev = old[:-1]
     right = old[1:]
     for j in range(1, m):
@@ -99,19 +102,25 @@ def sample(level: int, alphabet: Alphabet = Alphabet(2), seed: int = 0,
     check_cells(level, alphabet)
     m = alphabet.m
     if zero_noise:
+        stream = None
         values = np.zeros(2)
     else:
-        values = np.array([0.0, level_stream(seed, 0).standard_normal()])
+        # one Philox per path, re-keyed for each level
+        stream = level_stream(seed, 0)
+        values = np.array([0.0, stream.standard_normal()])
     for l in range(level):
-        values = _fill_level(values, l, m, seed, zero_noise)
+        if stream is not None:
+            rekey(stream, seed, l + 1)
+        values = _fill_level(values, l, m, stream)
     return BrownianGrid(level, alphabet, values, seed, zero_noise)
 
 
 def refine(grid: BrownianGrid) -> BrownianGrid:
     """One bridge refinement: same path, one level deeper."""
     check_cells(grid.level + 1, grid.alphabet)
-    values = _fill_level(grid.values, grid.level, grid.alphabet.m,
-                         grid.seed, grid.zero_noise)
+    stream = (None if grid.zero_noise
+              else level_stream(grid.seed, grid.level + 1))
+    values = _fill_level(grid.values, grid.level, grid.alphabet.m, stream)
     return BrownianGrid(grid.level + 1, grid.alphabet, values, grid.seed,
                         grid.zero_noise, grid.generation + 1)
 

@@ -230,28 +230,30 @@ def refinement_study(config: ReplicaConfig, levels,
 def tightened_upper_check(config: ReplicaConfig, rows: list[ReplicaRow]) -> dict:
     """Expectation bounds on a batch's mean lambda: the a priori band upper
     2m e^(beta^2 / 2), and the sharper empirical mean_lambda <= m *
-    mean(e^M1) + 3 stderr.
+    mean(e^(beta M1)) + 3 stderr, whose mean is reported as mean_exp_m1.
 
-    The band follows from lambda <= m e^(beta M1) on every path and
-    E e^(beta M1) = E e^(beta |B_1|) <= 2 e^(beta^2 / 2) (reflection
-    principle). Past float64 it saturates at the largest float, which
+    Both follow from lambda <= m e^(beta M1) on every path; the band then
+    uses E e^(beta M1) = E e^(beta |B_1|) <= 2 e^(beta^2 / 2) (reflection
+    principle). Past float64 each saturates at the largest float, which
     mean_lambda, itself a float, cannot exceed."""
     good = [r for r in rows if r.converged]
     if not good:
         raise RuntimeError("all replicas failed to converge")
     mean_lambda, stderr = mean_stderr(np.array([r.eigenvalue for r in good]))
-    exp_m1 = np.exp(np.array([r.m1 for r in good]))
+    with np.errstate(over="ignore"):
+        exp_m1 = np.exp(config.beta * np.array([r.m1 for r in good])).mean()
+    mean_exp_m1 = min(float(exp_m1), sys.float_info.max)
     m = config.alphabet.m
     # math.exp raises past 709.78, and 2m e^709 is already out of range
     band_upper = min(2 * m * math.exp(min(config.beta**2 / 2, 709.0)),
                      sys.float_info.max)
-    tightened = m * float(exp_m1.mean()) + 3 * stderr
+    tightened = min(m * mean_exp_m1 + 3 * stderr, sys.float_info.max)
     return {
         "mean_lambda": mean_lambda,
         "stderr_lambda": stderr,
         "band_upper": band_upper,
         "band_bound_ok": bool(mean_lambda <= band_upper),
-        "mean_exp_m1": float(exp_m1.mean()),
+        "mean_exp_m1": mean_exp_m1,
         "tightened_upper": tightened,
         "tightened_bound_ok": bool(mean_lambda <= tightened),
     }

@@ -36,6 +36,10 @@ _FOLD_RANGE = 1e150
 # iterations, counted from iteration n + _STALL_WINDOW on (L^n > 0, so an
 # earlier plateau is still mixing)
 _STALL_WINDOW = 10
+# quotient heads j per block of one operator application: the block's
+# weights, output and ratios (about 1.5 MiB at m = 2) stay in L2 between
+# the contraction and the bracket's min/max
+_BLOCK_HEADS = 2**14
 
 
 @dataclass(frozen=True)
@@ -141,6 +145,31 @@ def _scaled_weights(phi3: np.ndarray, psi: np.ndarray):
     return np.exp(E, out=E), c
 
 
+def _plans(W: np.ndarray, F: np.ndarray, S: np.ndarray):
+    """Per-block views for one application F -> S and one for S -> F.
+
+    A block is the heads j0:j1: its weights W[:, :, j0:j1], its heads
+    F[a j], its strided output S[j b], the contiguous F and S slices its
+    Collatz-Wielandt ratios are taken over, and a block-sized ratio
+    buffer. Built once per weight build, so the loop makes no view.
+    """
+    m, last, inner = W.shape
+    block = min(_BLOCK_HEADS, inner)
+    ratio = np.empty(block * last)
+    plans = []
+    for src, dst in ((F, S), (S, F)):
+        heads = np.broadcast_to(src.reshape(-1, inner), (m, inner))
+        out = dst.reshape(inner, last)
+        plan = []
+        for j0 in range(0, inner, block):
+            j1 = min(j0 + block, inner)
+            cells = slice(j0 * last, j1 * last)
+            plan.append((W[:, :, j0:j1], heads[:, j0:j1], out[j0:j1].T,
+                         dst[cells], src[cells], ratio[:(j1 - j0) * last]))
+        plans.append(plan)
+    return plans
+
+
 def _perron_core(phi: np.ndarray, m: int, n: int, tol: float, max_iters: int):
     """Right Perron vector of the operator with potential phi, on the m^(n-1)
     quotient words: (Lf)[k] depends only on j = k // m, and F[j] = f[j m]
@@ -152,7 +181,9 @@ def _perron_core(phi: np.ndarray, m: int, n: int, tol: float, max_iters: int):
     serves every beta. Stops when the Collatz-Wielandt bracket
     [min QF/F, max QF/F] has relative width <= tol. The update is F <- QF
     until the width stalls (near-cyclic large beta), then F <- QF + lo F,
-    which damps the eigenvalues near -lambda.
+    which damps the eigenvalues near -lambda. Each application runs block
+    by block over _BLOCK_HEADS heads (see _plans); min and max are exact,
+    so the block size never changes a bit of the result.
 
     Returns (log H, c, lo, hi, iterations, converged, shift_at): H is the
     quotient eigenvector, e^c lo <= lambda <= e^c hi its bracket, and
@@ -162,16 +193,24 @@ def _perron_core(phi: np.ndarray, m: int, n: int, tol: float, max_iters: int):
     phi3 = phi.reshape(m, inner, last)
     psi = np.zeros(inner * last)
     W, c = _scaled_weights(phi3, psi)
-    F, S, r = np.ones(psi.size), np.empty(psi.size), np.empty(psi.size)
+    F, S = np.ones(psi.size), np.empty(psi.size)
+    plan, other = _plans(W, F, S)
     floor = top = 1.0  # bounds on min F and max F
     widths = []
     shift_at = None
     converged = False
     for it in range(1, max_iters + 1):
-        heads = np.broadcast_to(F.reshape(-1, inner), (m, inner))
-        np.einsum("abj,aj->bj", W, heads, out=S.reshape(inner, last).T)
-        np.divide(S, F, out=r)
-        lo, hi = float(r.min()), float(r.max())
+        lo, hi = np.inf, -np.inf
+        for w, heads, out, s, f, r in plan:
+            np.einsum("abj,aj->bj", w, heads, out=out)
+            np.divide(s, f, out=r)
+            block_lo, block_hi = np.minimum.reduce(r), np.maximum.reduce(r)
+            # a NaN block wins, as in one min and max over the whole vector
+            if block_lo < lo or block_lo != block_lo:
+                lo = block_lo
+            if block_hi > hi or block_hi != block_hi:
+                hi = block_hi
+        lo, hi = float(lo), float(hi)
         if not 0.0 < lo <= hi < np.inf:
             break
         width = (hi - lo) / hi
@@ -188,11 +227,13 @@ def _perron_core(phi: np.ndarray, m: int, n: int, tol: float, max_iters: int):
         else:
             floor, top = floor * lo, top * hi
         F, S = S, F
+        plan, other = other, plan
         if floor * _FOLD_RANGE < 1.0 or top > _FOLD_RANGE:
             fmin, fmax = float(F.min()), float(F.max())
             if fmin * _FOLD_RANGE < fmax:
                 psi += np.log(F)
                 W, c = _scaled_weights(phi3, psi)
+                plan, other = _plans(W, F, S)
                 F.fill(1.0)
                 floor = 1.0
             else:

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ruelle_rand import brownian
-from ruelle_rand._rng import derive_seed
+from ruelle_rand._rng import derive_seed, level_stream, rekey
 from ruelle_rand.brownian import BrownianGrid, refine, sample, stats
 from ruelle_rand.symbolic import Alphabet
 
@@ -68,6 +68,48 @@ class TestDeterminism:
     def test_derive_seed_injective_prefix(self):
         seen = {derive_seed(7, i) for i in range(100_000)}
         assert len(seen) == 100_000
+
+
+class TestStreams:
+    SEEDS = (0, 1, 2**63, 2**64 - 1)
+
+    @staticmethod
+    def keyed(seed, level):
+        key = np.array([seed & (2**64 - 1), level], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
+
+    @staticmethod
+    def draws(stream):
+        # float32 draws take half-words, so a stale uint32 buffer shows
+        return np.concatenate([stream.standard_normal(7),
+                               stream.random(3, dtype=np.float32)])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_level_stream_is_keyed_philox(self, seed):
+        for level in range(25):
+            assert np.array_equal(self.draws(level_stream(seed, level)),
+                                  self.draws(self.keyed(seed, level)))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_rekey_restarts_the_keyed_stream(self, seed):
+        stream = level_stream(seed ^ 1, 99)
+        for level in range(25):
+            stream.random(1, dtype=np.float32)  # leave the stream part-spent
+            rekey(stream, seed, level)
+            assert np.array_equal(self.draws(stream),
+                                  self.draws(self.keyed(seed, level)))
+
+    def test_two_streams_alive_at_once(self):
+        a, b = level_stream(1, 3), level_stream(2**63, 3)
+        ref_a, ref_b = self.keyed(1, 3), self.keyed(2**63, 3)
+        for _ in range(3):
+            assert np.array_equal(self.draws(a), self.draws(ref_a))
+            assert np.array_equal(self.draws(b), self.draws(ref_b))
+        rekey(a, 2**64 - 1, 24)
+        ref_a = self.keyed(2**64 - 1, 24)
+        for _ in range(3):
+            assert np.array_equal(self.draws(b), self.draws(ref_b))
+            assert np.array_equal(self.draws(a), self.draws(ref_a))
 
 
 class TestRefine:

@@ -214,3 +214,25 @@ class TestTightenedUpper:
         out = tightened_upper_check(replace(cfg, beta=40.0), rows)
         assert out["band_upper"] == sys.float_info.max
         assert out["band_bound_ok"]
+
+    def test_tightened_upper_at_beta(self):
+        # lambda <= m e^(beta M1) on every path, so the empirical bound is
+        # m mean(e^(beta M1)) + 3 stderr and holds at every beta
+        cfg = ReplicaConfig(level=8, beta=3.0, master_seed=0, replicas=16)
+        rows = run_replicas(cfg)
+        out = tightened_upper_check(cfg, rows)
+        mean_exp = np.mean([math.exp(3.0 * r.m1) for r in rows if r.converged])
+        assert out["mean_exp_m1"] == pytest.approx(mean_exp, rel=1e-14)
+        assert out["tightened_upper"] == pytest.approx(
+            2 * mean_exp + 3 * out["stderr_lambda"], rel=1e-14)
+        assert out["tightened_upper"] >= out["mean_lambda"]
+        assert out["tightened_bound_ok"]
+
+    def test_tightened_upper_saturates(self, healthy_rows):
+        # e^(1000 M1) is past float64 on these paths
+        cfg, rows = healthy_rows
+        with np.errstate(over="raise"):
+            out = tightened_upper_check(replace(cfg, beta=1000.0), rows)
+        assert out["mean_exp_m1"] == sys.float_info.max
+        assert out["tightened_upper"] == sys.float_info.max
+        assert out["tightened_bound_ok"]

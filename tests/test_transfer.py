@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import dense_matrix, dense_perron
+from ruelle_rand import transfer
 from ruelle_rand.brownian import sample
 from ruelle_rand.skorokhod import CylinderFunction
 from ruelle_rand.symbolic import Alphabet
@@ -17,6 +18,7 @@ from ruelle_rand.transfer import (DEFAULT_MAX_ITERS, DEFAULT_TOL,
 
 B2 = Alphabet(2)
 B3 = Alphabet(3)
+B4 = Alphabet(4)
 
 
 def seeded_op(level, seed, beta=1.0, alphabet=B2):
@@ -270,6 +272,52 @@ class TestShift:
             phi, 2, 12, DEFAULT_TOL, DEFAULT_MAX_ITERS)
         assert ok and shift_at is not None and shift_at >= 12 + 10
         assert iters < 200
+
+
+def same_core(a, b):
+    """Bit-identical _perron_core tuples."""
+    return a[0].tobytes() == b[0].tobytes() and a[1:] == b[1:]
+
+
+class TestBlocks:
+    def test_block_size_changes_no_bit(self, monkeypatch):
+        builds = []  # weight builds: more than one per solve means a fold
+        scaled = transfer._scaled_weights
+        monkeypatch.setattr(transfer, "_scaled_weights",
+                            lambda *a: builds.append(1) or scaled(*a))
+        default = transfer._BLOCK_HEADS
+
+        def core(block, p, m, n):
+            monkeypatch.setattr(transfer, "_BLOCK_HEADS", block)
+            return _perron_core(p, m, n, DEFAULT_TOL, 2000)
+
+        cases = [(alphabet, n, 49, beta)
+                 for alphabet, levels in ((B2, (1, 2, 9)), (B3, (1, 2, 6)),
+                                          (B4, (1, 2, 5)))
+                 for n in levels
+                 for beta in (0.0, 1.0, 10.0, 40.0, 400.0)]
+        cases.append((B2, 12, 0, 10.0))  # spectrum-hot's near-cyclic path
+        folded = shifted = False
+        for alphabet, n, seed, beta in cases:
+            m = alphabet.m
+            phi = seeded_op(n, seed, beta=beta, alphabet=alphabet)[0].potential.phi
+            for p in (phi, _reverse(phi, m, n)):
+                del builds[:]
+                ref = core(default, p, m, n)
+                folded |= len(builds) > 1
+                shifted |= ref[6] is not None
+                for block in (1, 2, 3, 7):
+                    assert same_core(core(block, p, m, n), ref), (m, n, beta)
+        assert folded and shifted
+
+    def test_deep_path_spans_blocks(self, monkeypatch):
+        phi = seeded_op(18, 50)[0].potential.phi
+        assert 2**16 > 2 * transfer._BLOCK_HEADS  # level 18 has 2^16 heads
+        out = _perron_core(phi, 2, 18, DEFAULT_TOL, DEFAULT_MAX_ITERS)
+        monkeypatch.setattr(transfer, "_BLOCK_HEADS", 2**30)
+        assert out[5]
+        assert same_core(
+            out, _perron_core(phi, 2, 18, DEFAULT_TOL, DEFAULT_MAX_ITERS))
 
 
 class TestGelfand:
