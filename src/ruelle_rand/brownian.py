@@ -125,27 +125,33 @@ def refine(grid: BrownianGrid) -> BrownianGrid:
                         grid.zero_noise, grid.generation + 1)
 
 
-def stats(grid: BrownianGrid, gamma: float = 0.4) -> PathStats:
-    """Path summaries on the grid: extrema, trapezoid integral, and the
-    empirical Holder constant max |B_t - B_s| / |t - s|^gamma over m-adic
+def holder_constant(grid: BrownianGrid, gamma: float = 0.4) -> float:
+    """Empirical Holder constant max |B_t - B_s| / |t - s|^gamma over m-adic
     spans at every scale (scale 0 is the full span, the deepest scale the
-    adjacent grid pairs).
-    """
+    adjacent grid pairs)."""
     if not 0.0 < gamma < 0.5:
         raise ValueError("gamma must lie in (0, 1/2)")
     v = grid.values
     m = grid.alphabet.m
-    t = np.linspace(0.0, 1.0, v.size)
     holder = 0.0
     for j in range(grid.level + 1):
         step = m ** (grid.level - j)
         ends = v[::step]
         incr = np.max(np.abs(np.diff(ends))) if ends.size > 1 else 0.0
         holder = max(holder, incr / float(m) ** (-j * gamma))
+    return float(holder)
+
+
+def stats(grid: BrownianGrid, gamma: float = 0.4) -> PathStats:
+    """Path summaries on the grid: extrema, trapezoid integral, and the
+    holder_constant at gamma."""
+    holder = holder_constant(grid, gamma)
+    v = grid.values
+    t = np.linspace(0.0, 1.0, v.size)
     return PathStats(
         max=float(np.max(v)),
         min=float(np.min(v)),
         integral=float(np.trapezoid(v, t)),
-        holder_constant=float(holder),
+        holder_constant=holder,
         gamma=gamma,
     )

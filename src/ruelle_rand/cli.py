@@ -11,14 +11,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from functools import partial
 
 import numpy as np
 
 from . import __version__, brownian, figures, montecarlo, pressure, report
 from ._rng import derive_seed, level_stream
 from .skorokhod import StepFunction, sup_norm, theta, theta_inverse
-from .symbolic import Alphabet, MAdicRational, all_words, t_of, word_to_string
+from .symbolic import (Alphabet, MAdicRational, Word, all_words, t_of,
+                       word_to_string)
 from .transfer import (TransferOperator, build_potential, pathwise_bounds,
                        power_iterate, ratio_representation)
 
@@ -178,8 +178,10 @@ def _cmd_isometry_check(args) -> int:
 
 def _cmd_pressure(args) -> int:
     config = _replica_config(args, args.level)
-    results = montecarlo.map_replicas(
-        partial(montecarlo.pressure_row, args.kmax), config, args.workers)
+    if args.kmax < 1:
+        raise ValueError("kmax must be >= 1")
+    results = montecarlo.map_replicas(montecarlo.pressure_row, config,
+                                      args.workers)
     samples = [s for s in results if s is not None]
     if not samples:
         sys.stderr.write("error: all replicas failed to converge\n")
@@ -187,7 +189,12 @@ def _cmd_pressure(args) -> int:
     rep = pressure.quenched_report(samples, config.alphabet, config.beta)
     rep["n_failed"] = len(results) - len(samples)
     if args.emit_birkhoff:
-        rows = [(k + 1, float(v)) for k, v in enumerate(samples[0].birkhoff)]
+        # the iterates of the first converged replica, rebuilt from its seed
+        first = next(i for i, s in enumerate(results) if s is not None)
+        _, _, L = montecarlo.replica_operator(config, first)
+        seq = pressure.birkhoff_pressure(L, Word((0,) * L.level, L.alphabet),
+                                         args.kmax)
+        rows = [(k + 1, float(v)) for k, v in enumerate(seq)]
         report.write_csv(args.emit_birkhoff, ["k", "value"], rows)
     manifest = report.build_manifest(
         "pressure", _config_dict(args), __version__,
@@ -277,16 +284,29 @@ def _cmd_plot(args) -> int:
     return 0
 
 
+def _beta(text: str) -> float:
+    # refused at parse time, before any path is sampled
+    try:
+        beta = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not (math.isfinite(beta) and beta >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}")
+    return beta
+
+
 def _add_common(p, *, beta_default=1.0, beta_sentinel=False):
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--alphabet", type=int, default=2, metavar="M",
                    help="alphabet size m (default 2)")
     p.add_argument("--out", metavar="FILE", help="also write the JSON report here")
     if beta_sentinel:
-        p.add_argument("--beta", type=float, default=None,
+        p.add_argument("--beta", type=_beta, default=None,
                        help="potential scale (default 1)")
     elif beta_default is not None:
-        p.add_argument("--beta", type=float, default=beta_default,
+        p.add_argument("--beta", type=_beta, default=beta_default,
                        help="potential scale (default 1)")
 
 

@@ -25,8 +25,8 @@ from ._rng import derive_seed
 from .pressure import PressureSample, mean_stderr, pressure_sample
 from .symbolic import Alphabet
 from .transfer import (DEFAULT_MAX_ITERS, DEFAULT_TOL, TransferOperator,
-                       build_potential, pathwise_bounds, power_iterate,
-                       ratio_representation)
+                       build_potential, pathwise_bounds, perron_eigenvalue,
+                       power_iterate, ratio_representation)
 
 WORKERS_ENV = "RUELLE_RAND_WORKERS"
 
@@ -105,17 +105,17 @@ def map_replicas(fn, config: ReplicaConfig, workers: int | None = None) -> list:
         return pool.map(fn, args, chunksize=chunk)
 
 
-def _solve(config: ReplicaConfig, i: int):
-    """Replica i's derived seed, sampled grid, operator and Perron data."""
+def replica_operator(config: ReplicaConfig, i: int):
+    """Replica i's derived seed, sampled grid and operator."""
     seed = derive_seed(config.master_seed, i)
     grid = brownian.sample(config.level, config.alphabet, seed)
-    L = TransferOperator(build_potential(grid, config.beta))
-    return seed, grid, L, power_iterate(L, config.tol, config.max_iters)
+    return seed, grid, TransferOperator(build_potential(grid, config.beta))
 
 
 def _replica_row(arg: tuple[ReplicaConfig, int]) -> ReplicaRow:
     config, i = arg
-    seed, grid, L, res = _solve(config, i)
+    seed, grid, L = replica_operator(config, i)
+    res = power_iterate(L, config.tol, config.max_iters)
     if res.converged:
         bounds = pathwise_bounds(L, res, grid)
         positive = bool(np.all(res.h.values > 0) and np.all(res.nu > 0))
@@ -142,12 +142,15 @@ def _replica_row(arg: tuple[ReplicaConfig, int]) -> ReplicaRow:
     )
 
 
-def pressure_row(kmax: int, arg: tuple[ReplicaConfig, int]) -> PressureSample | None:
-    """Replica's PressureSample, or None when its solve did not converge."""
-    _, grid, L, res = _solve(*arg)
+def pressure_row(arg: tuple[ReplicaConfig, int]) -> PressureSample | None:
+    """Replica's PressureSample, or None when its right solve did not
+    converge. Only lambda is read, so no reversed solve runs."""
+    config, i = arg
+    _, grid, L = replica_operator(config, i)
+    res = perron_eigenvalue(L, config.tol, config.max_iters)
     if not res.converged:
         return None
-    return pressure_sample(L, res, grid, kmax=kmax)
+    return pressure_sample(L, res, grid)
 
 
 def run_replicas(config: ReplicaConfig, workers: int | None = None) -> list[ReplicaRow]:
@@ -199,8 +202,8 @@ def _study_row(levels: tuple[int, ...],
         while grid.level < target:
             grid = brownian.refine(grid)
         L = TransferOperator(build_potential(grid, config.beta))
-        res = power_iterate(L, config.tol, config.max_iters)
-        logs.append(res.log_eigenvalue)
+        logs.append(perron_eigenvalue(L, config.tol, config.max_iters)
+                    .log_eigenvalue)
     return logs
 
 

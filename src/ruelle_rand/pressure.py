@@ -17,10 +17,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .brownian import MAX_CELLS, BrownianGrid, stats
+from .brownian import MAX_CELLS, BrownianGrid, holder_constant
 from .symbolic import Alphabet, Word, word_index
-from .transfer import (PotentialField, SpectralResult, TransferOperator,
-                       log_power_iterates)
+from .transfer import (PerronEigenvalue, PotentialField, SpectralResult,
+                       TransferOperator, log_power_iterates)
 
 DEFAULT_P_GRID = np.linspace(0.01, 0.99, 99)
 # exponent used for the depth-n discretization allowance in variational checks
@@ -33,7 +33,6 @@ class PressureSample:
     allowance used by the variational check."""
 
     log_lambda: float
-    birkhoff: np.ndarray
     variational_lb: float
     bernoulli_p: float
     slack: float
@@ -148,26 +147,25 @@ def bernoulli_lower_bound(potential: PotentialField,
 def variational_slack(grid: BrownianGrid, beta: float,
                       gamma: float = SLACK_GAMMA) -> float:
     """Depth-n discretization allowance 2 * beta * holder * m^(-gamma n),
-    with m^(-n) the cell span over which stats measures the Holder constant.
+    with m^(-n) the cell span of the finest scale holder_constant measures.
 
     Heuristic, reported never silently absorbed; at finite depth the
     Bernoulli bound is exact for the discretized system, so healthy runs
     never come near it.
     """
-    holder = stats(grid, gamma).holder_constant
+    holder = holder_constant(grid, gamma)
     m = float(grid.alphabet.m)
     return 2.0 * beta * holder * m ** (-gamma * grid.level)
 
 
-def pressure_sample(L: TransferOperator, result: SpectralResult,
-                    grid: BrownianGrid, kmax: int = 50,
+def pressure_sample(L: TransferOperator,
+                    result: PerronEigenvalue | SpectralResult,
+                    grid: BrownianGrid,
                     p_grid=DEFAULT_P_GRID) -> PressureSample:
-    """Assemble one replica's PressureSample from converged spectral data."""
-    x = Word((0,) * L.level, L.alphabet)
+    """Assemble one replica's PressureSample from its converged eigenvalue."""
     lb, p = bernoulli_lower_bound(L.potential, p_grid)
     return PressureSample(
         log_lambda=result.log_eigenvalue,
-        birkhoff=birkhoff_pressure(L, x, kmax),
         variational_lb=lb,
         bernoulli_p=p,
         slack=variational_slack(grid, L.potential.beta),

@@ -52,7 +52,7 @@ class PotentialField:
     phi: np.ndarray
 
     def __post_init__(self):
-        if self.beta < 0:
+        if not self.beta >= 0:  # NaN too
             raise ValueError("beta must be >= 0")
         if self.level < 1:
             raise ValueError("potential needs depth >= 1")
@@ -101,6 +101,10 @@ class SpectralResult:
     solves. An unconverged result stops after the right solve: nu is then
     NaN, and h and bracket are its last iterate's. A lambda past the
     float64 range is inf, while log_eigenvalue stays finite.
+
+    spectrum reports h, nu and the residual, and montecarlo's positivity
+    check reads h and nu; callers that read only lambda (pressure,
+    refine-study) use perron_eigenvalue instead.
     """
 
     eigenvalue: float
@@ -111,6 +115,19 @@ class SpectralResult:
     residual: float
     converged: bool
     bracket: tuple[float, float]
+
+
+@dataclass(frozen=True)
+class PerronEigenvalue:
+    """lambda alone, from the right solve: the fields of SpectralResult that
+    the Collatz-Wielandt bracket certifies without h or nu. iterations
+    counts the right solve's operator applications."""
+
+    eigenvalue: float
+    log_eigenvalue: float
+    bracket: tuple[float, float]
+    iterations: int
+    converged: bool
 
 
 def build_potential(grid: BrownianGrid, beta: float) -> PotentialField:
@@ -243,6 +260,32 @@ def _perron_core(phi: np.ndarray, m: int, n: int, tol: float, max_iters: int):
     return psi + np.log(F), c, lo, hi, it, converged, shift_at
 
 
+def _eigenvalue(c: float, lo: float, hi: float):
+    """(lambda, log lambda, bracket) from the core's e^c [lo, hi]: lambda
+    is the bracket's midpoint, and past float64 it is inf while its log
+    stays finite."""
+    with np.errstate(over="ignore"):
+        scale = float(np.exp(c))
+    return (scale * (lo + hi) / 2, c + float(np.log((lo + hi) / 2)),
+            (scale * lo, scale * hi))
+
+
+def perron_eigenvalue(L: TransferOperator, tol: float = DEFAULT_TOL,
+                      max_iters: int = DEFAULT_MAX_ITERS) -> PerronEigenvalue:
+    """lambda, certified by the Collatz-Wielandt bracket of one right solve.
+
+    The same core run, and the same bits, as power_iterate's eigenvalue,
+    log_eigenvalue and bracket; converged is the right solve's. No
+    reversed solve, residual or eigenvector is formed.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    _, c, lo, hi, iters, ok, _ = _perron_core(
+        L.potential.phi, L.alphabet.m, L.level, tol, max_iters)
+    lam, llam, bracket = _eigenvalue(c, lo, hi)
+    return PerronEigenvalue(lam, llam, bracket, iters, ok)
+
+
 def power_iterate(L: TransferOperator, tol: float = DEFAULT_TOL,
                   max_iters: int = DEFAULT_MAX_ITERS) -> SpectralResult:
     """Perron eigendata, certified by the Collatz-Wielandt bracket.
@@ -255,18 +298,16 @@ def power_iterate(L: TransferOperator, tol: float = DEFAULT_TOL,
     applications.
 
     Non-convergence is reported through the converged flag, never raised:
-    replica batches must see the failure, not die on it.
+    replica batches must see the failure, not die on it. Callers that need
+    nu, h or the residual (spectrum, montecarlo) call this; perron_eigenvalue
+    runs the right solve alone.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     m, n = L.alphabet.m, L.level
     phi = L.potential.phi
     logH, c, lo, hi, iters, ok, _ = _perron_core(phi, m, n, tol, max_iters)
-    with np.errstate(over="ignore"):  # lambda past float64 becomes inf
-        scale = float(np.exp(c))
-    lam = scale * (lo + hi) / 2
-    llam = c + float(np.log((lo + hi) / 2))
-    bracket = (scale * lo, scale * hi)
+    lam, llam, bracket = _eigenvalue(c, lo, hi)
     logh = np.repeat(logH, m)
     # residual max|Lh - lam h| / (lam ||h||_inf), formed on h / ||h||_inf
     # so that extreme beta cannot overflow
@@ -358,16 +399,17 @@ def pathwise_bounds(L: TransferOperator, result: SpectralResult,
 
     The diagonal entries sit at the constant words a^n. Checks carry a
     1e-12 relative slack so exact-equality cases (zero noise) stay true
-    under float rounding.
+    under float rounding. A side past float64 is inf: as the ceiling it is
+    still a true bound, and a diagonal entry that large makes lambda inf.
     """
     m = L.alphabet.m
     n = L.level
     beta = L.potential.beta
     lam = result.eigenvalue
-    diag = max(
-        float(np.exp(L.potential.phi[a * (m**n - 1) // (m - 1)])) for a in range(m)
-    )
-    upper = m * np.exp(beta * float(np.max(grid.values)))
+    with np.errstate(over="ignore"):
+        diag = max(float(np.exp(L.potential.phi[a * (m**n - 1) // (m - 1)]))
+                   for a in range(m))
+        upper = m * np.exp(beta * float(np.max(grid.values)))
     return {
         "lower_ok": bool(lam >= diag * (1.0 - 1e-12)),
         "upper_ok": bool(lam <= upper * (1.0 + 1e-12)),

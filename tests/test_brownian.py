@@ -214,6 +214,17 @@ class TestStats:
             with pytest.raises(ValueError):
                 stats(g, bad)
 
+    def test_holder_constant_is_stats_field(self):
+        for alphabet, level in ((B2, 0), (B2, 1), (B2, 10), (B3, 6)):
+            for seed in (0, 5):
+                g = sample(level, alphabet, seed)
+                for gamma in (0.1, 0.25, 0.4, 0.49):
+                    c = brownian.holder_constant(g, gamma)
+                    assert c == stats(g, gamma).holder_constant
+                    assert type(c) is float
+        with pytest.raises(ValueError):
+            brownian.holder_constant(sample(3, B2, 1), 0.5)
+
     def test_holder_stable_under_refinement(self):
         # smoke check of path regularity: one refinement should not blow
         # the empirical constant up by more than 2x

@@ -6,15 +6,18 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from ruelle_rand import __version__, brownian, cli
+from ruelle_rand import __version__, brownian, cli, montecarlo
 from ruelle_rand.cli import dispatch
+from ruelle_rand.pressure import birkhoff_pressure
 from ruelle_rand.report import schema_text
-from ruelle_rand.symbolic import Alphabet
+from ruelle_rand.symbolic import Alphabet, Word
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -164,6 +167,24 @@ class TestUsage:
         assert code == 1
         assert out == ""
         assert "cells, more than the budget of 16777216" in err
+
+    @pytest.mark.parametrize("beta", ["inf", "-inf", "nan", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--level", "17"),
+        ("pressure", "--level", "6", "--replicas", "2"),
+        ("montecarlo", "--level", "6", "--replicas", "2"),
+        ("refine-study", "--levels", "4,6", "--replicas", "2"),
+    ], ids=lambda a: a[0])
+    def test_bad_beta_refused_before_sampling(self, capsys, monkeypatch,
+                                              argv, beta):
+        def no_path(*args, **kwargs):
+            raise AssertionError("path sampled for a refused --beta")
+        monkeypatch.setattr(brownian, "sample", no_path)
+        code, out, err = run_cli(capsys, *argv, f"--beta={beta}")
+        assert code == 1
+        assert out == ""
+        errors = [l for l in err.splitlines() if "error:" in l]
+        assert len(errors) == 1 and "--beta" in errors[0]
 
     def test_cell_budget_boundary(self):
         brownian.check_cells(24, Alphabet(2))
@@ -368,6 +389,47 @@ class TestPressure:
         assert rep["n_failed"] == 0
         assert rep["mean_log_lambda"] > math.log(4) + 0.5
         assert rep["bounds_ok"] is True
+
+    @pytest.mark.parametrize("emit", [False, True])
+    def test_zero_kmax_refused_before_sampling(self, capsys, monkeypatch,
+                                               tmp_path, emit):
+        def no_path(*args, **kwargs):
+            raise AssertionError("path sampled for a refused --kmax")
+        monkeypatch.setattr(brownian, "sample", no_path)
+        csv = tmp_path / "birkhoff.csv"
+        extra = ("--emit-birkhoff", str(csv)) if emit else ()
+        code, out, err = run_cli(capsys, "pressure", "--level", "5",
+                                 "--replicas", "2", "--kmax", "0", *extra)
+        assert code == 1
+        assert out == ""
+        assert "kmax must be >= 1" in err
+        assert not csv.exists()
+
+    def test_birkhoff_from_first_converged_replica(self, capsys, monkeypatch,
+                                                   tmp_path):
+        # replica 0's right solve is made to fail; the CSV must then hold
+        # replica 1's iterates
+        calls = []
+        solve = montecarlo.perron_eigenvalue
+
+        def fail_first(L, *args):
+            res = solve(L, *args)
+            calls.append(L)
+            return replace(res, converged=False) if len(calls) == 1 else res
+        monkeypatch.setattr(montecarlo, "perron_eigenvalue", fail_first)
+        csv = tmp_path / "birkhoff.csv"
+        code, out, _ = run_cli(capsys, "pressure", "--level", "6",
+                               "--replicas", "3", "--kmax", "8", "--seed", "4",
+                               "--workers", "1", "--emit-birkhoff", str(csv))
+        assert code == 0
+        rep = parse_checked(out)["report"]
+        assert rep["n"] == 2 and rep["n_failed"] == 1
+        x = Word((0,) * 6, Alphabet(2))
+        first, second = (birkhoff_pressure(L, x, 8) for L in calls[:2])
+        assert not np.array_equal(first, second)
+        values = [float(l.split(",")[1])
+                  for l in csv.read_text().splitlines()[1:]]
+        assert values == [float(v) for v in second]
 
     def test_zero_replicas_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "pressure", "--level", "5",

@@ -39,6 +39,12 @@ class TestBirkhoff:
         seq = birkhoff_pressure(L, Word((0,) * 10, B2), 256)
         assert abs(seq[-1] - r.log_eigenvalue) <= 0.01
 
+    def test_near_log_eigenvalue_at_kmax_64(self):
+        L, r, _ = seeded(8, 41)
+        seq = birkhoff_pressure(L, Word((0,) * 8, B2), 64)
+        assert seq.shape == (64,)
+        assert abs(seq[-1] - r.log_eigenvalue) <= 0.05
+
     def test_limit_independent_of_base_word(self):
         L, _, _ = seeded(8, 17)
         rng = np.random.default_rng(3)
@@ -169,10 +175,8 @@ class TestSlack:
 class TestPressureSample:
     def test_fields_coherent(self):
         L, r, g = seeded(8, 41)
-        s = pressure_sample(L, r, g, kmax=64)
+        s = pressure_sample(L, r, g)
         assert s.log_lambda == r.log_eigenvalue
-        assert s.birkhoff.shape == (64,)
-        assert abs(s.birkhoff[-1] - s.log_lambda) <= 0.05
         assert s.variational_lb <= s.log_lambda + 1e-10
         assert 0 < s.bernoulli_p < 1
         assert s.slack > 0
@@ -196,7 +200,7 @@ class TestQuenchedReport:
             g = sample(6, B2, seed, zero_noise=True)
             L = TransferOperator(build_potential(g, 1.0))
             r = power_iterate(L)
-            samples.append(pressure_sample(L, r, g, kmax=8))
+            samples.append(pressure_sample(L, r, g))
         rep = quenched_report(samples)
         assert rep["n"] == 8
         assert rep["mean_log_lambda"] == pytest.approx(math.log(2), rel=1e-12)
@@ -209,7 +213,7 @@ class TestQuenchedReport:
         samples = []
         for seed in range(48):
             L, r, g = seeded(10, 3000 + seed)
-            samples.append(pressure_sample(L, r, g, kmax=16))
+            samples.append(pressure_sample(L, r, g))
         rep = quenched_report(samples)
         assert rep["all_positive"]
         assert rep["jensen_ok"]
@@ -233,7 +237,7 @@ class TestQuenchedReport:
 
     def test_jensen_is_equality_for_constant_batch(self):
         L, r, g = seeded(6, 91)
-        samples = [pressure_sample(L, r, g, kmax=4)] * 5
+        samples = [pressure_sample(L, r, g)] * 5
         rep = quenched_report(samples)
         assert rep["jensen_ok"]
         assert rep["stderr"] == 0.0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from ruelle_rand.transfer import (DEFAULT_MAX_ITERS, DEFAULT_TOL,
                                   build_potential,
                                   functional_equation_residual,
                                   gelfand_sequence, pathwise_bounds,
-                                  power_iterate, ratio_representation)
+                                  perron_eigenvalue, power_iterate,
+                                  ratio_representation)
 
 B2 = Alphabet(2)
 B3 = Alphabet(3)
@@ -54,6 +56,10 @@ class TestBuildPotential:
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError):
             build_potential(sample(3, B2, 1), -0.5)
+
+    def test_nan_beta_rejected(self):
+        with pytest.raises(ValueError):
+            PotentialField(3, B2, math.nan, np.zeros(8))
 
 
 class TestApply:
@@ -320,6 +326,45 @@ class TestBlocks:
             out, _perron_core(phi, 2, 18, DEFAULT_TOL, DEFAULT_MAX_ITERS))
 
 
+class TestPerronEigenvalue:
+    def test_bits_of_power_iterate(self, monkeypatch):
+        builds = []  # weight builds: more than one per solve means a fold
+        scaled = transfer._scaled_weights
+        monkeypatch.setattr(transfer, "_scaled_weights",
+                            lambda *a: builds.append(1) or scaled(*a))
+        folded = shifted = False
+        for alphabet in (B2, B3):
+            m = alphabet.m
+            for n in range(1, 13):
+                for beta in (0.0, 0.5, 1.0, 3.0, 10.0, 40.0, 400.0):
+                    L, _ = seeded_op(n, n, beta=beta, alphabet=alphabet)
+                    del builds[:]
+                    got = perron_eigenvalue(L)
+                    folded |= beta == 400.0 and len(builds) > 1
+                    core = _perron_core(L.potential.phi, m, n, DEFAULT_TOL,
+                                        DEFAULT_MAX_ITERS)
+                    shifted |= core[6] is not None
+                    # h past float64 at beta = 400 warns; not this test's
+                    with np.errstate(over="ignore"):
+                        want = power_iterate(L)
+                    case = (m, n, beta)
+                    assert got.eigenvalue == want.eigenvalue, case
+                    assert got.log_eigenvalue == want.log_eigenvalue, case
+                    assert got.bracket == want.bracket, case
+                    assert got.converged == core[5], case
+                    assert got.iterations == core[4], case
+        assert folded and shifted
+
+    def test_unconverged_flagged_not_raised(self):
+        L, _ = seeded_op(8, 5)
+        got = perron_eigenvalue(L, max_iters=2)
+        assert not got.converged and got.iterations == 2
+
+    def test_bad_tol_rejected(self):
+        with pytest.raises(ValueError):
+            perron_eigenvalue(flat_op(3, 0.0), tol=0.0)
+
+
 class TestGelfand:
     def test_zero_potential_constant_m(self):
         seq = gelfand_sequence(flat_op(5, 0.0), 10)
@@ -417,6 +462,21 @@ class TestPathwiseBounds:
         diag = math.exp(max(L.potential.phi[0], L.potential.phi[-1]))
         upper = 2 * math.exp(float(np.max(g.values)))
         assert diag <= lam <= upper
+
+    def test_no_overflow_warning_at_large_beta(self):
+        overflowed = False
+        for seed in range(8):
+            L, g = seeded_op(6, seed, beta=1000.0)
+            r = perron_eigenvalue(L)
+            if not r.converged:
+                continue
+            # e^(beta max B) past float64
+            overflowed |= 1000.0 * float(np.max(g.values)) > 710
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                b = pathwise_bounds(L, r, g)
+            assert b["lower_ok"] and b["upper_ok"], seed
+        assert overflowed
 
     def test_diagonal_words_trinary(self):
         # constant words are the fixed points; check the lower bound uses
