@@ -41,7 +41,6 @@ class BrownianGrid:
     values: np.ndarray
     seed: int
     zero_noise: bool = False
-    generation: int = 0
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -122,7 +121,7 @@ def refine(grid: BrownianGrid) -> BrownianGrid:
               else level_stream(grid.seed, grid.level + 1))
     values = _fill_level(grid.values, grid.level, grid.alphabet.m, stream)
     return BrownianGrid(grid.level + 1, grid.alphabet, values, grid.seed,
-                        grid.zero_noise, grid.generation + 1)
+                        grid.zero_noise)
 
 
 def holder_constant(grid: BrownianGrid, gamma: float = 0.4) -> float:

@@ -17,8 +17,7 @@ import numpy as np
 from . import __version__, brownian, figures, montecarlo, pressure, report
 from ._rng import derive_seed, level_stream
 from .skorokhod import StepFunction, sup_norm, theta, theta_inverse
-from .symbolic import (Alphabet, MAdicRational, Word, all_words, t_of,
-                       word_to_string)
+from .symbolic import Alphabet
 from .transfer import (TransferOperator, build_potential, pathwise_bounds,
                        power_iterate, ratio_representation)
 
@@ -105,8 +104,11 @@ def _cmd_sample_path(args) -> int:
 def _cmd_spectrum(args) -> int:
     beta = _resolved_beta(args)
     alphabet = _alphabet(args)
-    grid = brownian.sample(args.level, alphabet, args.seed,
-                           zero_noise=args.zero_noise)
+    m, n = alphabet.m, args.level
+    if args.emit_eigenfunction and m > 10:
+        # refused before the solve: the word column has one digit per letter
+        raise ValueError("digit serialization defined for m <= 10")
+    grid = brownian.sample(n, alphabet, args.seed, zero_noise=args.zero_noise)
     L = TransferOperator(build_potential(grid, beta))
     res = power_iterate(L)
     if math.isinf(res.eigenvalue):
@@ -116,9 +118,9 @@ def _cmd_spectrum(args) -> int:
     gap = abs(ratio - res.eigenvalue) / res.eigenvalue
     bounds = pathwise_bounds(L, res, grid)
     if args.emit_eigenfunction:
-        words = all_words(args.level, alphabet)
-        rows = [(word_to_string(w), t_of(w).value, float(h))
-                for w, h in zip(words, res.h.values)]
+        # row k: the depth-n word of index k in base-m digits, t = k / m^n
+        rows = [(np.base_repr(k, m).zfill(n), k / m**n, float(h))
+                for k, h in enumerate(res.h.values)]
         report.write_csv(args.emit_eigenfunction, ["word", "t", "h"], rows)
     rep = {
         "lambda": res.eigenvalue,
@@ -128,7 +130,7 @@ def _cmd_spectrum(args) -> int:
         "cw_bracket": list(res.bracket),
         "converged": res.converged,
         "ratio_identity_gap": gap,
-        "ratio_point": str(MAdicRational(1, 1, alphabet.m)),
+        "ratio_point": f"1/{m}^1",
         "pathwise_bounds": bounds,
     }
     manifest = report.build_manifest(
@@ -192,8 +194,7 @@ def _cmd_pressure(args) -> int:
         # the iterates of the first converged replica, rebuilt from its seed
         first = next(i for i, s in enumerate(results) if s is not None)
         _, _, L = montecarlo.replica_operator(config, first)
-        seq = pressure.birkhoff_pressure(L, Word((0,) * L.level, L.alphabet),
-                                         args.kmax)
+        seq = pressure.birkhoff_pressure(L, 0, args.kmax)
         rows = [(k + 1, float(v)) for k, v in enumerate(seq)]
         report.write_csv(args.emit_birkhoff, ["k", "value"], rows)
     manifest = report.build_manifest(
@@ -239,10 +240,14 @@ def _cmd_refine_study(args) -> int:
         return _USAGE_EXIT
     config = _replica_config(args, levels[0])
     rep = montecarlo.refinement_study(config, levels, args.workers)
+    if rep is None:
+        sys.stderr.write("error: all replicas failed to converge\n")
+        return _VIOLATION_EXIT
     manifest = report.build_manifest("refine-study", _config_dict(args),
                                      __version__, _outputs(args))
     _emit(args, manifest, rep)
-    return 0 if rep["decreasing"] else _VIOLATION_EXIT
+    bad = rep["n_failed"] > 0 or not rep["decreasing"]
+    return _VIOLATION_EXIT if bad else 0
 
 
 def _read_columns(path: str, wanted: list[str]) -> list[list[float]]:
@@ -336,7 +341,7 @@ def build_parser() -> _Parser:
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--zero-noise", action="store_true")
     p.add_argument("--emit-eigenfunction", metavar="FILE",
-                   help="CSV of (word, t, h)")
+                   help="CSV of (word, t, h); needs --alphabet <= 10")
     _add_common(p, beta_sentinel=True)
     p.set_defaults(func=_cmd_spectrum)
 
@@ -351,9 +356,10 @@ def build_parser() -> _Parser:
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--replicas", type=int, default=256)
     p.add_argument("--kmax", type=int, default=32,
-                   help="Birkhoff iterate depth per sample (default 32)")
+                   help="Birkhoff depth of the --emit-birkhoff CSV (default 32)")
     p.add_argument("--emit-birkhoff", metavar="FILE",
-                   help="CSV (k, value) of the first replica's iterates")
+                   help="CSV (k, value) of the first converged replica's "
+                        "iterates")
     _add_workers(p)
     _add_common(p)
     p.set_defaults(func=_cmd_pressure)

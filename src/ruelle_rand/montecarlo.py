@@ -24,7 +24,7 @@ from . import brownian
 from ._rng import derive_seed
 from .pressure import PressureSample, mean_stderr, pressure_sample
 from .symbolic import Alphabet
-from .transfer import (DEFAULT_MAX_ITERS, DEFAULT_TOL, TransferOperator,
+from .transfer import (DEFAULT_MAX_ITERS, TransferOperator,
                        build_potential, pathwise_bounds, perron_eigenvalue,
                        power_iterate, ratio_representation)
 
@@ -38,7 +38,6 @@ class ReplicaConfig:
     beta: float = 1.0
     master_seed: int = 0
     replicas: int = 1
-    tol: float = DEFAULT_TOL
     max_iters: int = DEFAULT_MAX_ITERS
 
     def __post_init__(self):
@@ -115,7 +114,7 @@ def replica_operator(config: ReplicaConfig, i: int):
 def _replica_row(arg: tuple[ReplicaConfig, int]) -> ReplicaRow:
     config, i = arg
     seed, grid, L = replica_operator(config, i)
-    res = power_iterate(L, config.tol, config.max_iters)
+    res = power_iterate(L, config.max_iters)
     if res.converged:
         bounds = pathwise_bounds(L, res, grid)
         positive = bool(np.all(res.h.values > 0) and np.all(res.nu > 0))
@@ -147,7 +146,7 @@ def pressure_row(arg: tuple[ReplicaConfig, int]) -> PressureSample | None:
     converge. Only lambda is read, so no reversed solve runs."""
     config, i = arg
     _, grid, L = replica_operator(config, i)
-    res = perron_eigenvalue(L, config.tol, config.max_iters)
+    res = perron_eigenvalue(L, config.max_iters)
     if not res.converged:
         return None
     return pressure_sample(L, res, grid)
@@ -162,7 +161,7 @@ def aggregate(config: ReplicaConfig, rows: list[ReplicaRow],
               wall_time: float) -> McReport:
     good = [r for r in rows if r.converged]
     if not good:
-        raise RuntimeError("all replicas failed to converge; check level/beta/tol")
+        raise RuntimeError("all replicas failed to converge; check level/beta")
     lams = np.array([r.eigenvalue for r in good])
     mean_lambda, stderr_lambda = mean_stderr(lams)
     mean_log, stderr_log = mean_stderr(np.array([r.log_eigenvalue for r in good]))
@@ -193,7 +192,9 @@ def run(config: ReplicaConfig,
 
 
 def _study_row(levels: tuple[int, ...],
-               arg: tuple[ReplicaConfig, int]) -> list[float]:
+               arg: tuple[ReplicaConfig, int]) -> list[float] | None:
+    """Replica's log lambda at each level, or None as soon as one of its
+    solves does not converge."""
     config, i = arg
     seed = derive_seed(config.master_seed, i)
     grid = brownian.sample(levels[0], config.alphabet, seed)
@@ -202,31 +203,39 @@ def _study_row(levels: tuple[int, ...],
         while grid.level < target:
             grid = brownian.refine(grid)
         L = TransferOperator(build_potential(grid, config.beta))
-        logs.append(perron_eigenvalue(L, config.tol, config.max_iters)
-                    .log_eigenvalue)
+        res = perron_eigenvalue(L, config.max_iters)
+        if not res.converged:
+            return None
+        logs.append(res.log_eigenvalue)
     return logs
 
 
 def refinement_study(config: ReplicaConfig, levels,
-                     workers: int | None = None) -> dict:
+                     workers: int | None = None) -> dict | None:
     """Coupled-path depth study: each replica's single Brownian path is
     refined through the given levels and the eigenvalue recomputed; the
     mean absolute drift of log lambda per adjacent level pair must shrink
-    as depth grows."""
+    as depth grows. Drifts are taken over the replicas that converged at
+    every level, n_failed counts the others, and None means none
+    converged."""
     levels = tuple(int(l) for l in levels)
     if list(levels) != sorted(set(levels)):
         raise ValueError("levels must be strictly ascending")
     if len(levels) < 2:
         raise ValueError("need at least two levels")
     brownian.check_cells(levels[-1], config.alphabet)
-    # replicas x levels
-    logs = np.array(map_replicas(partial(_study_row, levels), config, workers))
-    drifts = np.mean(np.abs(np.diff(logs, axis=1)), axis=0)
+    rows = map_replicas(partial(_study_row, levels), config, workers)
+    good = [r for r in rows if r is not None]
+    if not good:
+        return None
+    # converged replicas x levels
+    drifts = np.mean(np.abs(np.diff(np.array(good), axis=1)), axis=0)
     return {
         "levels": list(levels),
         "pairs": [f"{a}->{b}" for a, b in zip(levels, levels[1:])],
         "mean_abs_drift": [float(d) for d in drifts],
         "decreasing": bool(np.all(np.diff(drifts) < 0)),
+        "n_failed": len(rows) - len(good),
     }
 
 

@@ -18,9 +18,9 @@ from functools import lru_cache
 import numpy as np
 
 from .brownian import MAX_CELLS, BrownianGrid, holder_constant
-from .symbolic import Alphabet, Word, word_index
+from .symbolic import Alphabet
 from .transfer import (PerronEigenvalue, PotentialField, SpectralResult,
-                       TransferOperator, log_power_iterates)
+                       TransferOperator)
 
 DEFAULT_P_GRID = np.linspace(0.01, 0.99, 99)
 # exponent used for the depth-n discretization allowance in variational checks
@@ -38,17 +38,25 @@ class PressureSample:
     slack: float
 
 
-def birkhoff_pressure(L: TransferOperator, x: Word, kmax: int) -> np.ndarray:
-    """Entries (1/k) log (L^k 1)(x) for k = 1..kmax.
+def birkhoff_pressure(L: TransferOperator, ix: int, kmax: int) -> np.ndarray:
+    """Entries (1/k) log (L^k 1)(x) for k = 1..kmax, with x the depth-n
+    word of index ix, iterated in the log domain.
 
     The depth-n system is shift-closed, so evaluation at the fixed word x
     stands in for the shifted point. Entries converge to log lambda at
     rate O(1/k), uniformly over x.
     """
-    if x.depth != L.level or x.alphabet != L.alphabet:
-        raise ValueError("word and operator live at different depths")
-    ix = word_index(x)
-    return np.array([g[ix] / k for k, g in log_power_iterates(L, kmax)])
+    cells = L.alphabet.m**L.level
+    if not 0 <= ix < cells:
+        raise ValueError(f"word index {ix} out of range at depth {L.level}")
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
+    g = np.zeros(cells)
+    out = np.empty(kmax)
+    for k in range(1, kmax + 1):
+        g = L._apply_log(g)
+        out[k - 1] = g[ix] / k
+    return out
 
 
 def mean_stderr(v: np.ndarray) -> tuple[float, float]:
@@ -144,26 +152,25 @@ def bernoulli_lower_bound(potential: PotentialField,
     return float(values[best]), float(p_grid[best])
 
 
-def variational_slack(grid: BrownianGrid, beta: float,
-                      gamma: float = SLACK_GAMMA) -> float:
+def variational_slack(grid: BrownianGrid, beta: float) -> float:
     """Depth-n discretization allowance 2 * beta * holder * m^(-gamma n),
-    with m^(-n) the cell span of the finest scale holder_constant measures.
+    with gamma = SLACK_GAMMA and m^(-n) the cell span of the finest scale
+    holder_constant measures.
 
     Heuristic, reported never silently absorbed; at finite depth the
     Bernoulli bound is exact for the discretized system, so healthy runs
     never come near it.
     """
-    holder = holder_constant(grid, gamma)
+    holder = holder_constant(grid, SLACK_GAMMA)
     m = float(grid.alphabet.m)
-    return 2.0 * beta * holder * m ** (-gamma * grid.level)
+    return 2.0 * beta * holder * m ** (-SLACK_GAMMA * grid.level)
 
 
 def pressure_sample(L: TransferOperator,
                     result: PerronEigenvalue | SpectralResult,
-                    grid: BrownianGrid,
-                    p_grid=DEFAULT_P_GRID) -> PressureSample:
+                    grid: BrownianGrid) -> PressureSample:
     """Assemble one replica's PressureSample from its converged eigenvalue."""
-    lb, p = bernoulli_lower_bound(L.potential, p_grid)
+    lb, p = bernoulli_lower_bound(L.potential)
     return PressureSample(
         log_lambda=result.log_eigenvalue,
         variational_lb=lb,

@@ -8,6 +8,11 @@ convention at an m-adic point t = k/m^n is carried by the lex-smaller of
 the two sequences mapping to t, which lives in cylinder k - 1 and picks up
 the step value on the interval to the left; both directions are therefore
 array copies and every isometry test runs at zero tolerance.
+
+isometry-check runs theta, theta_inverse and sup_norm. The Brownian grid
+itself needs no projection: transfer.build_potential reads its left
+endpoints at the same word indices, and power_iterate returns h as a
+CylinderFunction.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brownian import BrownianGrid
 from .symbolic import Alphabet
 
 
@@ -77,25 +81,3 @@ def sup_norm(F_or_f: StepFunction | CylinderFunction) -> float:
     v = F_or_f.right_values if isinstance(F_or_f, StepFunction) else F_or_f.values
     return float(np.max(np.abs(v)))
 
-
-def project(grid: BrownianGrid) -> StepFunction:
-    """Brownian grid as a step function, left-endpoint rule:
-    value B_{k/m^n} on [k/m^n, (k+1)/m^n), terminal value B_1."""
-    return StepFunction(grid.level, grid.alphabet, grid.values[:-1],
-                        float(grid.values[-1]))
-
-
-def refine_step(F: StepFunction) -> StepFunction:
-    """Embed into level n + 1: each interval splits into m pieces sharing
-    its value."""
-    return StepFunction(F.level + 1, F.alphabet,
-                        np.repeat(F.right_values, F.alphabet.m),
-                        F.terminal_value)
-
-
-def refine_cylinder(f: CylinderFunction) -> CylinderFunction:
-    """Embed into depth n + 1: each word extends by one letter, children
-    inherit the parent value. Index of w.a is m * index(w) + a, so this is
-    a repeat."""
-    return CylinderFunction(f.level + 1, f.alphabet,
-                            np.repeat(f.values, f.alphabet.m))

@@ -1,17 +1,13 @@
-"""Finite words over an m-letter alphabet, their dyadic-style metric, and
-the m-adic time embedding t(w) = sum_i w_i / m^i.
+"""The alphabet {0, ..., m-1} of the one-sided full shift.
 
-Depth-n words double as level-n cylinder sets of the one-sided full shift.
-The index of a word is its base-m value read most-significant-letter first,
-so depth-n words enumerate 0 .. m^n - 1 and t(w) = index / m^n exactly.
+Depth-n words, the level-n cylinders of the shift, are handled everywhere
+by their base-m index k, read most-significant letter first, so depth-n
+words enumerate 0 .. m^n - 1 and the m-adic time of w.0^inf is k / m^n.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -23,148 +19,3 @@ class Alphabet:
     def __post_init__(self):
         if self.m < 2:
             raise ValueError(f"alphabet needs at least two letters, got m={self.m}")
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self.m))
-
-
-@dataclass(frozen=True)
-class Word:
-    """Finite word w_1 .. w_n, letters in [0, m)."""
-
-    letters: tuple[int, ...]
-    alphabet: Alphabet
-
-    def __post_init__(self):
-        m = self.alphabet.m
-        for a in self.letters:
-            if not 0 <= a < m:
-                raise ValueError(f"letter {a} outside alphabet of size {m}")
-
-    @property
-    def depth(self) -> int:
-        return len(self.letters)
-
-
-@dataclass(frozen=True)
-class MAdicRational:
-    """Exact rational k / m^n. Not reduced; (k, n) identifies the grid point."""
-
-    k: int
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if not 0 <= self.k <= self.m**self.n:
-            raise ValueError(f"{self.k}/{self.m}^{self.n} outside [0, 1]")
-
-    @property
-    def value(self) -> float:
-        return self.k / self.m**self.n
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.k, self.m**self.n)
-
-    def __str__(self) -> str:
-        return f"{self.k}/{self.m}^{self.n}"
-
-
-def word_index(w: Word) -> int:
-    """Base-m value of the letters, most significant first."""
-    k = 0
-    for a in w.letters:
-        k = k * w.alphabet.m + a
-    return k
-
-
-def word_from_index(k: int, depth: int, alphabet: Alphabet) -> Word:
-    """Inverse of word_index at fixed depth."""
-    m = alphabet.m
-    if not 0 <= k < m**depth:
-        raise ValueError(f"index {k} out of range for depth {depth}")
-    letters = []
-    for _ in range(depth):
-        k, r = divmod(k, m)
-        letters.append(r)
-    return Word(tuple(reversed(letters)), alphabet)
-
-
-def all_words(depth: int, alphabet: Alphabet) -> Iterator[Word]:
-    """Depth-n words in index order."""
-    for letters in itertools.product(range(alphabet.m), repeat=depth):
-        yield Word(letters, alphabet)
-
-
-def t_of(w: Word) -> MAdicRational:
-    """Embedding t(w . 0^inf) = sum_i w_i m^-i = index / m^depth, exact."""
-    return MAdicRational(word_index(w), w.depth, w.alphabet.m)
-
-
-def cylinder_interval(w: Word) -> tuple[MAdicRational, MAdicRational]:
-    """Closure of t over the cylinder [w]: the interval [k/m^n, (k+1)/m^n].
-
-    The right endpoint is t(w . (m-1)^inf).
-    """
-    k, n, m = word_index(w), w.depth, w.alphabet.m
-    return MAdicRational(k, n, m), MAdicRational(k + 1, n, m)
-
-
-def metric(x: Word, y: Word) -> float:
-    """Ultrametric d(x, y) = 2^-N with N the first index of disagreement,
-    1-based; 0 for equal words. Base 2 regardless of alphabet size.
-    """
-    if x.alphabet != y.alphabet:
-        raise ValueError("words over different alphabets")
-    if x.depth != y.depth:
-        raise ValueError("metric defined for words of equal depth")
-    for i, (a, b) in enumerate(zip(x.letters, y.letters)):
-        if a != b:
-            return 2.0 ** -(i + 1)
-    return 0.0
-
-
-def lex_compare(x: Word, y: Word) -> int:
-    """-1, 0, or 1 as x precedes, equals, or follows y lexicographically."""
-    if x.alphabet != y.alphabet or x.depth != y.depth:
-        raise ValueError("lex order defined for words of equal depth and alphabet")
-    return (x.letters > y.letters) - (x.letters < y.letters)
-
-
-def shift_preimages(w: Word) -> tuple[Word, ...]:
-    """Depth-preserving shift preimages (a, w_1, ..., w_{n-1}), a in alphabet.
-
-    Ordered by the prepended letter. Their t values are a/m + t(w')/m where
-    w' drops the last letter of w.
-    """
-    if w.depth == 0:
-        raise ValueError("preimages need depth >= 1")
-    body = w.letters[:-1]
-    return tuple(Word((a,) + body, w.alphabet) for a in w.alphabet)
-
-
-def twin(w: Word) -> Word | None:
-    """Left neighbour on the depth-n grid: the word of index k - 1, or None
-    for the all-zeros word.
-
-    t(twin(w) . (m-1)^inf) == t(w . 0^inf) exactly: the pair are the two
-    cylinder representations of the same m-adic time point.
-    """
-    k = word_index(w)
-    if k == 0:
-        return None
-    return word_from_index(k - 1, w.depth, w.alphabet)
-
-
-def word_to_string(w: Word) -> str:
-    """Base-m digit string, e.g. (0,1,1,0) -> \"0110\". Alphabets over 10
-    letters have no digit form and are rejected.
-    """
-    if w.alphabet.m > 10:
-        raise ValueError("digit serialization defined for m <= 10")
-    return "".join(str(a) for a in w.letters)
-
-
-def word_from_string(s: str, alphabet: Alphabet) -> Word:
-    if alphabet.m > 10:
-        raise ValueError("digit serialization defined for m <= 10")
-    return Word(tuple(int(c) for c in s), alphabet)

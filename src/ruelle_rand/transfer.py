@@ -12,9 +12,9 @@ B_0 = 0 into the operator exactly, which makes the eigenvalue ratio
 identity at the all-zeros word exact at every finite depth.
 
 Because Lf depends only on k // m, the Perron solve runs on the m^(n-1)
-quotient words. Word reversal R conjugates the adjoint of L to the
-operator of the reversed potential phi o R, so the same solve, run on
-phi o R, also gives the eigenmeasure nu.
+quotient words. Reversing the letters of a word, R, conjugates the
+adjoint of L to the operator of the reversed potential phi o R, so the
+same solve, run on phi o R, also gives the eigenmeasure nu.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from .brownian import BrownianGrid
 from .skorokhod import CylinderFunction, theta_inverse
 from .symbolic import Alphabet
 
+# a solve is converged once its Collatz-Wielandt bracket's relative width
+# is at most DEFAULT_TOL
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITERS = 100_000
 # an iterate whose entries span more than this ratio has its logs folded
@@ -187,7 +189,7 @@ def _plans(W: np.ndarray, F: np.ndarray, S: np.ndarray):
     return plans
 
 
-def _perron_core(phi: np.ndarray, m: int, n: int, tol: float, max_iters: int):
+def _perron_core(phi: np.ndarray, m: int, n: int, max_iters: int):
     """Right Perron vector of the operator with potential phi, on the m^(n-1)
     quotient words: (Lf)[k] depends only on j = k // m, and F[j] = f[j m]
     obeys (QF)[j b] = sum_a exp(phi[a j b]) F[a j].
@@ -196,9 +198,9 @@ def _perron_core(phi: np.ndarray, m: int, n: int, tol: float, max_iters: int):
     weights of _scaled_weights; when its entries span more than _FOLD_RANGE,
     log F moves into psi and the weights are rebuilt, so one linear kernel
     serves every beta. Stops when the Collatz-Wielandt bracket
-    [min QF/F, max QF/F] has relative width <= tol. The update is F <- QF
-    until the width stalls (near-cyclic large beta), then F <- QF + lo F,
-    which damps the eigenvalues near -lambda. Each application runs block
+    [min QF/F, max QF/F] has relative width <= DEFAULT_TOL. The update is
+    F <- QF until the width stalls (near-cyclic large beta), then
+    F <- QF + lo F, which damps the eigenvalues near -lambda. Each application runs block
     by block over _BLOCK_HEADS heads (see _plans); min and max are exact,
     so the block size never changes a bit of the result.
 
@@ -231,7 +233,7 @@ def _perron_core(phi: np.ndarray, m: int, n: int, tol: float, max_iters: int):
         if not 0.0 < lo <= hi < np.inf:
             break
         width = (hi - lo) / hi
-        converged = width <= tol
+        converged = width <= DEFAULT_TOL
         if converged or it == max_iters:
             break
         widths.append(width)
@@ -270,7 +272,7 @@ def _eigenvalue(c: float, lo: float, hi: float):
             (scale * lo, scale * hi))
 
 
-def perron_eigenvalue(L: TransferOperator, tol: float = DEFAULT_TOL,
+def perron_eigenvalue(L: TransferOperator,
                       max_iters: int = DEFAULT_MAX_ITERS) -> PerronEigenvalue:
     """lambda, certified by the Collatz-Wielandt bracket of one right solve.
 
@@ -278,23 +280,21 @@ def perron_eigenvalue(L: TransferOperator, tol: float = DEFAULT_TOL,
     log_eigenvalue and bracket; converged is the right solve's. No
     reversed solve, residual or eigenvector is formed.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     _, c, lo, hi, iters, ok, _ = _perron_core(
-        L.potential.phi, L.alphabet.m, L.level, tol, max_iters)
+        L.potential.phi, L.alphabet.m, L.level, max_iters)
     lam, llam, bracket = _eigenvalue(c, lo, hi)
     return PerronEigenvalue(lam, llam, bracket, iters, ok)
 
 
-def power_iterate(L: TransferOperator, tol: float = DEFAULT_TOL,
+def power_iterate(L: TransferOperator,
                   max_iters: int = DEFAULT_MAX_ITERS) -> SpectralResult:
     """Perron eigendata, certified by the Collatz-Wielandt bracket.
 
     Two runs of one quotient core: on phi for h, then on phi o R for the
     right vector h' of the reversed operator, which gives
     nu[k] = exp(phi[k]) h'[R k] / norm. Each run stops when its bracket's
-    relative width is <= tol; the result is converged only if both are,
-    and a failed right run returns at once, spending at most max_iters
+    relative width is <= DEFAULT_TOL; the result is converged only if both
+    are, and a failed right run returns at once, spending at most max_iters
     applications.
 
     Non-convergence is reported through the converged flag, never raised:
@@ -302,11 +302,9 @@ def power_iterate(L: TransferOperator, tol: float = DEFAULT_TOL,
     nu, h or the residual (spectrum, montecarlo) call this; perron_eigenvalue
     runs the right solve alone.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     m, n = L.alphabet.m, L.level
     phi = L.potential.phi
-    logH, c, lo, hi, iters, ok, _ = _perron_core(phi, m, n, tol, max_iters)
+    logH, c, lo, hi, iters, ok, _ = _perron_core(phi, m, n, max_iters)
     lam, llam, bracket = _eigenvalue(c, lo, hi)
     logh = np.repeat(logH, m)
     # residual max|Lh - lam h| / (lam ||h||_inf), formed on h / ||h||_inf
@@ -316,7 +314,7 @@ def power_iterate(L: TransferOperator, tol: float = DEFAULT_TOL,
     h = np.exp(logh - logh[0])
     if ok:
         logH, _, _, _, rev_iters, ok, _ = _perron_core(
-            _reverse(phi, m, n), m, n, tol, max_iters)
+            _reverse(phi, m, n), m, n, max_iters)
         iters += rev_iters
         lnu = phi.reshape(-1, logH.size) + _reverse(logH, m, n - 1)
         lnu -= lnu.max()
@@ -334,21 +332,6 @@ def power_iterate(L: TransferOperator, tol: float = DEFAULT_TOL,
         converged=ok,
         bracket=bracket,
     )
-
-
-def log_power_iterates(L: TransferOperator, kmax: int):
-    """Yield (k, log L^k 1) for k = 1..kmax, iterated in the log domain."""
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
-    g = np.zeros(L.alphabet.m**L.level)
-    for k in range(1, kmax + 1):
-        g = L._apply_log(g)
-        yield k, g
-
-
-def gelfand_sequence(L: TransferOperator, kmax: int) -> np.ndarray:
-    """Entries ||L^k 1||_inf^(1/k) for k = 1..kmax, kept in log-domain."""
-    return np.array([np.exp(g.max() / k) for k, g in log_power_iterates(L, kmax)])
 
 
 def ratio_representation(L: TransferOperator, result: SpectralResult,

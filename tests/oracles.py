@@ -1,17 +1,54 @@
 """Independent reference implementations for the test suite.
 
 Everything here goes through a different route than the code under test:
-the dense matrix is assembled word by word from shift_preimages, spectra
+the dense matrix is assembled word by word from shift_preimages, on words
+held as letter tuples rather than the base-m indices of src/, spectra
 come from numpy's general eigensolver, integrals from scipy quadrature,
 and the Bernoulli variational values from one product-measure reduction
 per p.
 """
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from ruelle_rand.symbolic import all_words, shift_preimages, word_index
+
+def all_words(depth: int, m: int):
+    """Depth-n words over {0, ..., m-1} as letter tuples, in lex order."""
+    return itertools.product(range(m), repeat=depth)
+
+
+def word_index(w: tuple, m: int) -> int:
+    """Base-m value of the letters, most significant first."""
+    k = 0
+    for a in w:
+        k = k * m + a
+    return k
+
+
+def shift_preimages(w: tuple, m: int) -> list:
+    """Depth-preserving shift preimages (a, w_1, ..., w_{n-1}), ordered by
+    the prepended letter a."""
+    return [(a,) + w[:-1] for a in range(m)]
+
+
+def metric(x: tuple, y: tuple) -> float:
+    """The shift's ultrametric d(x, y) = 2^-N, N the first index of
+    disagreement (1-based); 0 for equal words. Base 2 for every alphabet."""
+    if len(x) != len(y):
+        raise ValueError("metric defined for words of equal depth")
+    for i, (a, b) in enumerate(zip(x, y)):
+        if a != b:
+            return 2.0 ** -(i + 1)
+    return 0.0
+
+
+def t_exact(w: tuple, m: int) -> Fraction:
+    """t(w . 0^inf) = sum_i w_i m^-i, summed letter by letter."""
+    return sum((Fraction(a, m**(i + 1)) for i, a in enumerate(w)),
+               start=Fraction(0))
 
 
 def dense_matrix(potential) -> np.ndarray:
@@ -19,10 +56,10 @@ def dense_matrix(potential) -> np.ndarray:
     m, n = potential.alphabet.m, potential.level
     M = m**n
     A = np.zeros((M, M))
-    for w in all_words(n, potential.alphabet):
-        k = word_index(w)
-        for u in shift_preimages(w):
-            j = word_index(u)
+    for w in all_words(n, m):
+        k = word_index(w, m)
+        for u in shift_preimages(w, m):
+            j = word_index(u, m)
             A[k, j] += np.exp(potential.phi[j])
     return A
 

@@ -130,10 +130,10 @@ class TestRefine:
         r = refine(g)
         assert np.array_equal(r.values[::3], g.values)
 
-    def test_level_and_generation_advance(self):
+    def test_level_advances(self):
         g = sample(2, B2, seed=1)
         r = refine(g)
-        assert (r.level, r.generation) == (3, g.generation + 1)
+        assert r.level == 3
 
 
 class TestLaw:

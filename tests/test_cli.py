@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import sysconfig
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -14,10 +16,13 @@ import numpy as np
 import pytest
 
 from ruelle_rand import __version__, brownian, cli, montecarlo
+from ruelle_rand._rng import derive_seed
 from ruelle_rand.cli import dispatch
 from ruelle_rand.pressure import birkhoff_pressure
 from ruelle_rand.report import schema_text
-from ruelle_rand.symbolic import Alphabet, Word
+from ruelle_rand.symbolic import Alphabet
+from ruelle_rand.transfer import (TransferOperator, build_potential,
+                                  perron_eigenvalue, power_iterate)
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -311,18 +316,38 @@ class TestSpectrum:
         assert code == 0
         assert parse_checked(out)["report"]["ratio_point"] == "1/3^1"
 
-    def test_eigenfunction_csv(self, capsys, tmp_path):
+    @pytest.mark.parametrize("m,level", [(2, 3), (3, 2), (10, 2)])
+    def test_eigenfunction_csv(self, capsys, tmp_path, m, level):
         csv = tmp_path / "h.csv"
-        code, _, _ = run_cli(capsys, "spectrum", "--level", "3", "--seed", "2",
+        code, _, _ = run_cli(capsys, "spectrum", "--level", str(level),
+                             "--alphabet", str(m), "--seed", "2",
                              "--emit-eigenfunction", str(csv))
         assert code == 0
-        lines = csv.read_text().splitlines()
-        assert lines[0] == "word,t,h"
-        assert len(lines) == 9
-        words = [l.split(",")[0] for l in lines[1:]]
-        assert words == sorted(words)
-        assert words[0] == "000" and words[-1] == "111"
-        assert all(float(l.split(",")[2]) > 0 for l in lines[1:])
+        header, *rows = [l.split(",") for l in csv.read_text().splitlines()]
+        assert header == ["word", "t", "h"]
+        grid = brownian.sample(level, Alphabet(m), 2)
+        h = power_iterate(TransferOperator(build_potential(grid, 1.0))).h.values
+        # oracle rows: the k-th word of the lex enumeration, its exact time
+        words = list(itertools.product(range(m), repeat=level))
+        assert len(rows) == len(words) == m**level
+        for k, (w, (word, t, hk)) in enumerate(zip(words, rows)):
+            assert word == "".join(str(a) for a in w)
+            assert float(t) == float(Fraction(k, m**level))
+            assert float(hk) == h[k] > 0
+
+    def test_wide_alphabet_csv_refused_before_sampling(self, capsys,
+                                                       monkeypatch, tmp_path):
+        def no_path(*args, **kwargs):
+            raise AssertionError("path sampled for an unwritable CSV")
+        monkeypatch.setattr(brownian, "sample", no_path)
+        csv = tmp_path / "h.csv"
+        code, out, err = run_cli(capsys, "spectrum", "--level", "6",
+                                 "--alphabet", "11",
+                                 "--emit-eigenfunction", str(csv))
+        assert code == 1
+        assert out == ""
+        assert err == "error: digit serialization defined for m <= 10\n"
+        assert not csv.exists()
 
     def test_tiny_alphabet_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "spectrum", "--level", "4",
@@ -424,8 +449,7 @@ class TestPressure:
         assert code == 0
         rep = parse_checked(out)["report"]
         assert rep["n"] == 2 and rep["n_failed"] == 1
-        x = Word((0,) * 6, Alphabet(2))
-        first, second = (birkhoff_pressure(L, x, 8) for L in calls[:2])
+        first, second = (birkhoff_pressure(L, 0, 8) for L in calls[:2])
         assert not np.array_equal(first, second)
         values = [float(l.split(",")[1])
                   for l in csv.read_text().splitlines()[1:]]
@@ -490,6 +514,7 @@ class TestRefineStudy:
         rep = parse_checked(out)["report"]
         assert rep["pairs"] == ["5->7"]
         assert rep["mean_abs_drift"][0] > 0
+        assert rep["n_failed"] == 0
 
     def test_flat_potential_fails_strict_decrease(self, capsys):
         # beta 0 pins every drift to 0; the strict-decrease gate must trip
@@ -497,6 +522,34 @@ class TestRefineStudy:
                                "--replicas", "4", "--beta", "0")
         assert code == 2
         assert parse_checked(out)["report"]["decreasing"] is False
+
+    def test_unconverged_replicas_counted_and_gated(self, capsys):
+        # at beta 1000 some solves stop on a degenerate bracket; their log
+        # lambda must not enter the drifts, and the run must fail
+        code, out, _ = run_cli(capsys, "refine-study", "--levels", "5,6",
+                               "--replicas", "8", "--beta", "1000")
+        assert code == 2
+        rep = parse_checked(out)["report"]
+        good = []
+        for i in range(8):
+            grid = brownian.sample(5, Alphabet(2), derive_seed(0, i))
+            res = [perron_eigenvalue(TransferOperator(build_potential(g, 1e3)))
+                   for g in (grid, brownian.refine(grid))]
+            if all(r.converged for r in res):
+                good.append(abs(res[1].log_eigenvalue - res[0].log_eigenvalue))
+        assert 0 < len(good) < 8
+        assert rep["n_failed"] == 8 - len(good)
+        assert rep["mean_abs_drift"] == [float(np.mean(good))]
+
+    def test_all_replicas_failed(self, capsys, monkeypatch):
+        solve = montecarlo.perron_eigenvalue
+        monkeypatch.setattr(montecarlo, "perron_eigenvalue",
+                            lambda L, *a: replace(solve(L, *a), converged=False))
+        code, out, err = run_cli(capsys, "refine-study", "--levels", "4,6",
+                                 "--replicas", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: all replicas failed to converge\n"
 
     def test_malformed_levels(self, capsys):
         code, _, err = run_cli(capsys, "refine-study", "--levels", "a,b")

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bernoulli_values
+from oracles import all_words, bernoulli_values, dense_matrix
 from ruelle_rand.brownian import sample, stats
 from ruelle_rand.pressure import (DEFAULT_P_GRID, _digit_tables,
                                   bernoulli_lower_bound, birkhoff_pressure,
                                   mean_stderr, pressure_band, pressure_sample,
                                   quenched_report, variational_slack)
-from ruelle_rand.symbolic import Alphabet, Word, all_words
+from ruelle_rand.symbolic import Alphabet
 from ruelle_rand.transfer import (PotentialField, TransferOperator,
                                   build_potential, power_iterate)
 
@@ -31,17 +31,17 @@ class TestBirkhoff:
     def test_zero_potential_every_entry_log_m(self):
         phi = np.zeros(16)
         L = TransferOperator(PotentialField(4, B2, 1.0, phi))
-        seq = birkhoff_pressure(L, Word((0, 1, 1, 0), B2), 12)
+        seq = birkhoff_pressure(L, 0b0110, 12)
         assert np.allclose(seq, math.log(2), rtol=1e-14, atol=0)
 
     def test_converges_to_log_eigenvalue(self):
         L, r, _ = seeded(10, 7)
-        seq = birkhoff_pressure(L, Word((0,) * 10, B2), 256)
+        seq = birkhoff_pressure(L, 0, 256)
         assert abs(seq[-1] - r.log_eigenvalue) <= 0.01
 
     def test_near_log_eigenvalue_at_kmax_64(self):
         L, r, _ = seeded(8, 41)
-        seq = birkhoff_pressure(L, Word((0,) * 8, B2), 64)
+        seq = birkhoff_pressure(L, 0, 64)
         assert seq.shape == (64,)
         assert abs(seq[-1] - r.log_eigenvalue) <= 0.05
 
@@ -49,20 +49,35 @@ class TestBirkhoff:
         L, _, _ = seeded(8, 17)
         rng = np.random.default_rng(3)
         finals = []
-        for _ in range(5):
-            w = Word(tuple(rng.integers(0, 2, size=8)), B2)
-            finals.append(birkhoff_pressure(L, w, 512)[-1])
+        for ix in rng.integers(0, 2**8, size=5):
+            finals.append(birkhoff_pressure(L, int(ix), 512)[-1])
         assert max(finals) - min(finals) <= 0.01
+
+    @pytest.mark.parametrize("alphabet,level", [(B2, 5), (B3, 3)])
+    def test_matches_dense_iterates_at_every_word(self, alphabet, level):
+        # (1/k) log (A^k 1)[ix] from the entrywise matrix, k = 1..6
+        L, _, _ = seeded(level, 23, alphabet=alphabet)
+        A = dense_matrix(L.potential)
+        v, want = np.ones(A.shape[0]), []
+        for k in range(1, 7):
+            v = A @ v
+            want.append(np.log(v) / k)
+        want = np.array(want)
+        for ix in range(A.shape[0]):
+            got = birkhoff_pressure(L, ix, 6)
+            assert np.allclose(got, want[:, ix], rtol=1e-13, atol=0), ix
 
     def test_kmax_validated(self):
         L, _, _ = seeded(3, 1)
         with pytest.raises(ValueError):
-            birkhoff_pressure(L, Word((0, 0, 0), B2), 0)
+            birkhoff_pressure(L, 0, 0)
 
     def test_wrong_depth_rejected(self):
+        # an index past m^n names no depth-n word
         L, _, _ = seeded(3, 1)
-        with pytest.raises(ValueError):
-            birkhoff_pressure(L, Word((0, 0), B2), 4)
+        for ix in (-1, 2**3, 2**4):
+            with pytest.raises(ValueError):
+                birkhoff_pressure(L, ix, 4)
 
 
 class TestBernoulliBound:
@@ -123,7 +138,7 @@ class TestBernoulliBound:
 
     def test_digit_tables(self):
         s, r = _digit_tables(3, 4)
-        assert s.tolist() == [sum(w.letters) for w in all_words(4, B3)]
+        assert s.tolist() == [sum(w) for w in all_words(4, 3)]
         # r is the law of the word given its digit sum
         assert np.allclose(np.bincount(s, weights=r), 1.0, rtol=1e-14, atol=0)
         assert _digit_tables(3, 4)[0] is s

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import all_words, t_exact, word_index
 from ruelle_rand.brownian import sample
-from ruelle_rand.skorokhod import (CylinderFunction, StepFunction,
-                                   refine_cylinder, refine_step, project,
-                                   sup_norm, theta, theta_inverse)
-from ruelle_rand.symbolic import Alphabet, all_words, t_of, word_index
+from ruelle_rand.skorokhod import (CylinderFunction, StepFunction, sup_norm,
+                                   theta, theta_inverse)
+from ruelle_rand.symbolic import Alphabet
 
 B2 = Alphabet(2)
 B3 = Alphabet(3)
@@ -38,10 +38,10 @@ class TestTheta:
         # interval carries 1
         F = StepFunction(2, B2, np.array([0.0, 0.0, 1.0, 0.0]), 0.0)
         f = theta(F)
-        for w in all_words(2, B2):
-            t = t_of(w).as_fraction()
+        for w in all_words(2, 2):
+            t = t_exact(w, 2)
             expected = 1.0 if (t >= 0.5 and t < 0.75) else 0.0
-            assert f.values[word_index(w)] == expected
+            assert f.values[word_index(w, 2)] == expected
 
     @given(cases)
     def test_roundtrip_bitwise(self, case):
@@ -92,41 +92,17 @@ class TestSupNorm:
 
 
 class TestProject:
-    def test_zero_grid(self):
-        F = project(sample(4, B2, 1, zero_noise=True))
-        assert not F.right_values.any() and F.terminal_value == 0.0
-
-    def test_level0(self):
-        g = sample(0, B2, seed=21)
-        F = project(g)
-        assert F.right_values.shape == (1,)
-        assert F.right_values[0] == 0.0
-        assert F.terminal_value == g.values[1]
-
     @pytest.mark.parametrize("alphabet,level", [(B2, 6), (B2, 8), (B3, 4)])
     def test_theta_project_reads_grid_at_t(self, alphabet, level):
+        # the left-endpoint step function of a grid, B_{k/m^n} on
+        # [k/m^n, (k+1)/m^n), is what build_potential scales into phi
         g = sample(level, alphabet, seed=97)
-        f = theta(project(g))
-        for w in all_words(level, alphabet):
-            t = t_of(w)
-            assert f.values[word_index(w)] == g.values[t.k]
-
-
-class TestRefinementCompatibility:
-    @given(cases)
-    def test_embedding_commutes_with_theta(self, case):
-        level, m, seed = case
-        F = random_step(level, Alphabet(m), seed)
-        left = theta(refine_step(F)).values
-        right = refine_cylinder(theta(F)).values
-        assert np.array_equal(left, right)
-
-    def test_embedding_preserves_values_and_norm(self):
-        F = random_step(5, B2, 3)
-        R = refine_step(F)
-        assert R.level == 6
-        assert sup_norm(R) == sup_norm(F)
-        assert R.terminal_value == F.terminal_value
+        m = alphabet.m
+        f = theta(StepFunction(level, alphabet, g.values[:-1],
+                               float(g.values[-1])))
+        for w in all_words(level, m):
+            k = t_exact(w, m) * m**level
+            assert f.values[word_index(w, m)] == g.values[int(k)]
 
 
 class TestValidation:

@@ -13,8 +13,7 @@ from ruelle_rand.transfer import (DEFAULT_MAX_ITERS, DEFAULT_TOL,
                                   PotentialField, TransferOperator,
                                   _perron_core, _reverse, apply,
                                   build_potential,
-                                  functional_equation_residual,
-                                  gelfand_sequence, pathwise_bounds,
+                                  functional_equation_residual, pathwise_bounds,
                                   perron_eigenvalue, power_iterate,
                                   ratio_representation)
 
@@ -149,7 +148,7 @@ class TestPowerIterate:
 
     def test_residual_meets_tolerance(self):
         L, _ = seeded_op(8, 41)
-        r = power_iterate(L, tol=1e-12)
+        r = power_iterate(L)
         assert r.residual <= 1e-11
 
     def test_unconverged_flagged_not_raised(self):
@@ -169,9 +168,8 @@ class TestPowerIterate:
     def test_unconverged_reversed_solve_is_flagged(self):
         L, _ = seeded_op(8, 44)
         phi = L.potential.phi
-        right = _perron_core(phi, 2, 8, DEFAULT_TOL, DEFAULT_MAX_ITERS)[4]
-        rev = _perron_core(_reverse(phi, 2, 8), 2, 8, DEFAULT_TOL,
-                           DEFAULT_MAX_ITERS)[4]
+        right = _perron_core(phi, 2, 8, DEFAULT_MAX_ITERS)[4]
+        rev = _perron_core(_reverse(phi, 2, 8), 2, 8, DEFAULT_MAX_ITERS)[4]
         assert right < rev  # this path's reversed solve is the slower one
         r = power_iterate(L, max_iters=right)
         assert not r.converged
@@ -181,7 +179,7 @@ class TestPowerIterate:
     def test_iterations_count_both_solves(self):
         L, _ = seeded_op(10, 45)
         phi = L.potential.phi
-        counts = [_perron_core(p, 2, 10, DEFAULT_TOL, DEFAULT_MAX_ITERS)[4]
+        counts = [_perron_core(p, 2, 10, DEFAULT_MAX_ITERS)[4]
                   for p in (phi, _reverse(phi, 2, 10))]
         r = power_iterate(L)
         assert r.converged
@@ -212,11 +210,6 @@ class TestPowerIterate:
             assert abs(r.eigenvalue - lam) / lam <= 1e-9
             assert np.allclose(r.h.values, h, rtol=1e-9)
             assert np.allclose(r.nu, nu, rtol=1e-9)
-
-    def test_bad_tol_rejected(self):
-        L, _ = seeded_op(3, 1)
-        with pytest.raises(ValueError):
-            power_iterate(L, tol=0.0)
 
     def test_log_domain_large_beta_matches_dense(self):
         # beta * oscillation > 30: weights spanning more than 13 decades
@@ -265,8 +258,7 @@ class TestShift:
                 for seed in range(16):
                     phi = seeded_op(n, seed, alphabet=alphabet)[0].potential.phi
                     for p in (phi, _reverse(phi, m, n)):
-                        out = _perron_core(p, m, n, DEFAULT_TOL,
-                                           DEFAULT_MAX_ITERS)
+                        out = _perron_core(p, m, n, DEFAULT_MAX_ITERS)
                         if out[6] is not None or not out[5]:
                             engaged.append((m, n, seed, out[4:]))
         assert engaged == []
@@ -275,7 +267,7 @@ class TestShift:
         # spectrum --level 12 --seed 0 --beta 10: arg lambda_2 = pi
         phi = seeded_op(12, 0, beta=10.0)[0].potential.phi
         _, _, _, _, iters, ok, shift_at = _perron_core(
-            phi, 2, 12, DEFAULT_TOL, DEFAULT_MAX_ITERS)
+            phi, 2, 12, DEFAULT_MAX_ITERS)
         assert ok and shift_at is not None and shift_at >= 12 + 10
         assert iters < 200
 
@@ -295,7 +287,7 @@ class TestBlocks:
 
         def core(block, p, m, n):
             monkeypatch.setattr(transfer, "_BLOCK_HEADS", block)
-            return _perron_core(p, m, n, DEFAULT_TOL, 2000)
+            return _perron_core(p, m, n, 2000)
 
         cases = [(alphabet, n, 49, beta)
                  for alphabet, levels in ((B2, (1, 2, 9)), (B3, (1, 2, 6)),
@@ -319,11 +311,11 @@ class TestBlocks:
     def test_deep_path_spans_blocks(self, monkeypatch):
         phi = seeded_op(18, 50)[0].potential.phi
         assert 2**16 > 2 * transfer._BLOCK_HEADS  # level 18 has 2^16 heads
-        out = _perron_core(phi, 2, 18, DEFAULT_TOL, DEFAULT_MAX_ITERS)
+        out = _perron_core(phi, 2, 18, DEFAULT_MAX_ITERS)
         monkeypatch.setattr(transfer, "_BLOCK_HEADS", 2**30)
         assert out[5]
         assert same_core(
-            out, _perron_core(phi, 2, 18, DEFAULT_TOL, DEFAULT_MAX_ITERS))
+            out, _perron_core(phi, 2, 18, DEFAULT_MAX_ITERS))
 
 
 class TestPerronEigenvalue:
@@ -341,7 +333,7 @@ class TestPerronEigenvalue:
                     del builds[:]
                     got = perron_eigenvalue(L)
                     folded |= beta == 400.0 and len(builds) > 1
-                    core = _perron_core(L.potential.phi, m, n, DEFAULT_TOL,
+                    core = _perron_core(L.potential.phi, m, n,
                                         DEFAULT_MAX_ITERS)
                     shifted |= core[6] is not None
                     # h past float64 at beta = 400 warns; not this test's
@@ -359,34 +351,6 @@ class TestPerronEigenvalue:
         L, _ = seeded_op(8, 5)
         got = perron_eigenvalue(L, max_iters=2)
         assert not got.converged and got.iterations == 2
-
-    def test_bad_tol_rejected(self):
-        with pytest.raises(ValueError):
-            perron_eigenvalue(flat_op(3, 0.0), tol=0.0)
-
-
-class TestGelfand:
-    def test_zero_potential_constant_m(self):
-        seq = gelfand_sequence(flat_op(5, 0.0), 10)
-        assert np.allclose(seq, 2.0, rtol=1e-14)
-
-    def test_first_entry_is_max_row_sum_and_dominates(self):
-        L, _ = seeded_op(8, 91)
-        r = power_iterate(L)
-        seq = gelfand_sequence(L, 1)
-        row_sums = L._apply(np.ones(256))
-        assert seq[0] == pytest.approx(row_sums.max(), rel=1e-12)
-        assert seq[0] >= r.eigenvalue
-
-    def test_converges_to_eigenvalue(self):
-        L, _ = seeded_op(10, 93)
-        r = power_iterate(L)
-        seq = gelfand_sequence(L, 256)
-        assert abs(seq[-1] - r.eigenvalue) / r.eigenvalue <= 0.01
-
-    def test_kmax_validated(self):
-        with pytest.raises(ValueError):
-            gelfand_sequence(flat_op(2, 0.0), 0)
 
 
 class TestRatioIdentity:
