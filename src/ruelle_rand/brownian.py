@@ -22,6 +22,10 @@ from .symbolic import Alphabet
 # vector, of which a level-24 binary solve holds several
 MAX_CELLS = 2**24
 
+# exponent of every Holder constant the package reports or bounds with;
+# Brownian paths are gamma-Holder for every gamma < 1/2
+HOLDER_GAMMA = 0.4
+
 
 def check_cells(level: int, alphabet: Alphabet) -> None:
     """Refuse a depth whose m^level cells exceed MAX_CELLS, before anything
@@ -124,7 +128,8 @@ def refine(grid: BrownianGrid) -> BrownianGrid:
                         grid.zero_noise)
 
 
-def holder_constant(grid: BrownianGrid, gamma: float = 0.4) -> float:
+def holder_constant(grid: BrownianGrid,
+                    gamma: float = HOLDER_GAMMA) -> float:
     """Empirical Holder constant max |B_t - B_s| / |t - s|^gamma over m-adic
     spans at every scale (scale 0 is the full span, the deepest scale the
     adjacent grid pairs)."""
@@ -141,7 +146,7 @@ def holder_constant(grid: BrownianGrid, gamma: float = 0.4) -> float:
     return float(holder)
 
 
-def stats(grid: BrownianGrid, gamma: float = 0.4) -> PathStats:
+def stats(grid: BrownianGrid, gamma: float = HOLDER_GAMMA) -> PathStats:
     """Path summaries on the grid: extrema, trapezoid integral, and the
     holder_constant at gamma."""
     holder = holder_constant(grid, gamma)

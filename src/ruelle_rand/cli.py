@@ -8,13 +8,23 @@ report) to stdout and optionally writes it to --out.
 
 from __future__ import annotations
 
+import os
+
+# numpy's bundled OpenBLAS starts a busy-waiting thread per spare core as it
+# loads, which costs a short run more CPU than its mathematics; the package's
+# one BLAS call, a small matrix-vector product in the Bernoulli bound, does
+# not need them. Set before the first numpy import, here and not in library
+# modules, so a program importing those keeps its own policy; an explicit
+# OPENBLAS_NUM_THREADS still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import math
 import sys
 
 import numpy as np
 
-from . import __version__, brownian, figures, montecarlo, pressure, report
+from . import __version__, brownian, montecarlo, pressure, report
 from ._rng import derive_seed, level_stream
 from .skorokhod import StepFunction, sup_norm, theta, theta_inverse
 from .symbolic import Alphabet
@@ -209,6 +219,9 @@ def _cmd_pressure(args) -> int:
 def _cmd_montecarlo(args) -> int:
     config = _replica_config(args, args.level)
     rows, mc = montecarlo.run(config, args.workers)
+    if mc is None:
+        sys.stderr.write("error: all replicas failed to converge\n")
+        return _VIOLATION_EXIT
     tight = montecarlo.tightened_upper_check(config, rows)
     if args.csv:
         report.write_csv(
@@ -227,6 +240,7 @@ def _cmd_montecarlo(args) -> int:
     rep["tightened"] = tight
     manifest = report.build_manifest("montecarlo", _config_dict(args),
                                      __version__, _outputs(args, args.csv))
+    manifest["wall_time"] = mc.wall_time
     _emit(args, manifest, rep)
     bad = not rep["bounds_ok"] or rep["expectation_band_ok"] is False
     return _VIOLATION_EXIT if bad else 0
@@ -263,6 +277,8 @@ def _read_columns(path: str, wanted: list[str]) -> list[list[float]]:
 
 
 def _cmd_plot(args) -> int:
+    from . import figures  # only plot loads it
+
     try:
         if args.kind == "path":
             t, v = _read_columns(args.input, ["t", "value"])
@@ -331,8 +347,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sample-path", help="simulate one Brownian grid path")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--zero-noise", action="store_true")
-    p.add_argument("--gamma", type=float, default=0.4,
-                   help="Holder exponent for stats (default 0.4)")
+    p.add_argument("--gamma", type=float, default=brownian.HOLDER_GAMMA,
+                   help="Holder exponent for stats "
+                        f"(default {brownian.HOLDER_GAMMA})")
     p.add_argument("--csv", metavar="FILE", help="grid CSV (k, t, value)")
     _add_common(p, beta_default=None)
     p.set_defaults(func=_cmd_sample_path)

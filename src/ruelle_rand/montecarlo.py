@@ -16,7 +16,6 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from functools import partial
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -76,10 +75,15 @@ class McReport:
     stderr_log_lambda: float
     quantiles: dict
     bound_violations: dict
+    # seconds the replicas took: run metadata, which the CLI puts in the
+    # manifest so the report stays a pure function of the config
     wall_time: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The deterministic report fields (all but wall_time)."""
+        d = asdict(self)
+        del d["wall_time"]
+        return d
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -99,6 +103,9 @@ def map_replicas(fn, config: ReplicaConfig, workers: int | None = None) -> list:
     args = [(config, i) for i in range(config.replicas)]
     if workers == 1:
         return [fn(a) for a in args]
+    # imported here so a serial run never loads multiprocessing
+    from multiprocessing import get_context
+
     chunk = max(1, config.replicas // (4 * workers))
     with get_context("fork").Pool(workers) as pool:
         return pool.map(fn, args, chunksize=chunk)
@@ -158,10 +165,12 @@ def run_replicas(config: ReplicaConfig, workers: int | None = None) -> list[Repl
 
 
 def aggregate(config: ReplicaConfig, rows: list[ReplicaRow],
-              wall_time: float) -> McReport:
+              wall_time: float) -> McReport | None:
+    """The batch's report over its converged rows, or None when no replica
+    converged."""
     good = [r for r in rows if r.converged]
     if not good:
-        raise RuntimeError("all replicas failed to converge; check level/beta")
+        return None
     lams = np.array([r.eigenvalue for r in good])
     mean_lambda, stderr_lambda = mean_stderr(lams)
     mean_log, stderr_log = mean_stderr(np.array([r.log_eigenvalue for r in good]))
@@ -184,8 +193,9 @@ def aggregate(config: ReplicaConfig, rows: list[ReplicaRow],
 
 
 def run(config: ReplicaConfig,
-        workers: int | None = None) -> tuple[list[ReplicaRow], McReport]:
-    """The batch's rows and its report, wall_time covering the replicas."""
+        workers: int | None = None) -> tuple[list[ReplicaRow], McReport | None]:
+    """The batch's rows and aggregate's report, wall_time covering the
+    replicas."""
     t0 = time.perf_counter()
     rows = run_replicas(config, workers)
     return rows, aggregate(config, rows, time.perf_counter() - t0)

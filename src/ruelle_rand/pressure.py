@@ -17,14 +17,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .brownian import MAX_CELLS, BrownianGrid, holder_constant
+from .brownian import (HOLDER_GAMMA, MAX_CELLS, BrownianGrid,
+                       holder_constant)
 from .symbolic import Alphabet
 from .transfer import (PerronEigenvalue, PotentialField, SpectralResult,
                        TransferOperator)
 
 DEFAULT_P_GRID = np.linspace(0.01, 0.99, 99)
-# exponent used for the depth-n discretization allowance in variational checks
-SLACK_GAMMA = 0.4
 
 
 @dataclass(frozen=True)
@@ -154,16 +153,16 @@ def bernoulli_lower_bound(potential: PotentialField,
 
 def variational_slack(grid: BrownianGrid, beta: float) -> float:
     """Depth-n discretization allowance 2 * beta * holder * m^(-gamma n),
-    with gamma = SLACK_GAMMA and m^(-n) the cell span of the finest scale
+    with gamma = HOLDER_GAMMA and m^(-n) the cell span of the finest scale
     holder_constant measures.
 
     Heuristic, reported never silently absorbed; at finite depth the
     Bernoulli bound is exact for the discretized system, so healthy runs
     never come near it.
     """
-    holder = holder_constant(grid, SLACK_GAMMA)
+    holder = holder_constant(grid, HOLDER_GAMMA)
     m = float(grid.alphabet.m)
-    return 2.0 * beta * holder * m ** (-SLACK_GAMMA * grid.level)
+    return 2.0 * beta * holder * m ** (-HOLDER_GAMMA * grid.level)
 
 
 def pressure_sample(L: TransferOperator,

@@ -9,12 +9,11 @@ them, and a report must not hide one that did.
 
 from __future__ import annotations
 
-import csv
 import datetime
 import importlib.resources
 import json
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def format_float(x: float) -> str:
@@ -91,6 +90,7 @@ def schema_text() -> str:
 
 def write_csv(path: str, header: list[str], rows) -> None:
     """CSV with floats at 17 significant digits, ints verbatim."""
+    import csv  # only the runs that write or read a CSV load it
 
     def cell(v):
         if isinstance(v, bool):
@@ -107,6 +107,8 @@ def write_csv(path: str, header: list[str], rows) -> None:
 
 
 def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
+    import csv
+
     with open(path, newline="", encoding="utf-8") as fh:
         r = csv.reader(fh)
         try:

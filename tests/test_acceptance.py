@@ -197,7 +197,6 @@ def test_criterion_10_report_determinism():
     blobs = []
     for w in (1, 4, 8):
         d = run(cfg, workers=w)[1].to_dict()
-        d.pop("wall_time")
         blobs.append(dumps(d).encode())
     ok = blobs[0] == blobs[1] == blobs[2]
     assert _verdict(10, "identical report bytes across worker counts", ok)

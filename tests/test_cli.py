@@ -77,6 +77,42 @@ def parse_checked(stdout: str) -> dict:
     return env
 
 
+# What a fresh CLI process has started and loaded once `cli` is imported.
+STARTUP_PROBE = """\
+import json, os, sys
+import ruelle_rand.cli
+task = "/proc/self/task"
+print(json.dumps({
+    "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "threads": len(os.listdir(task)) if os.path.isdir(task) else None,
+    "loaded": [m for m in ("multiprocessing", "csv", "ruelle_rand.figures")
+               if m in sys.modules],
+}))
+"""
+
+
+def startup_probe(**env) -> dict:
+    base = {k: v for k, v in os.environ.items()
+            if k != "OPENBLAS_NUM_THREADS"}
+    out = subprocess.run([sys.executable, "-c", STARTUP_PROBE],
+                         capture_output=True, text=True, timeout=60,
+                         env=dict(base, PYTHONPATH=SRC, **env), check=True)
+    return json.loads(out.stdout)
+
+
+class TestStartup:
+    def test_one_blas_thread_and_no_unused_imports(self):
+        probe = startup_probe()
+        assert probe["blas_threads"] == "1"
+        assert probe["loaded"] == []
+        if probe["threads"] is None:
+            pytest.skip("no /proc/self/task to count threads")
+        assert probe["threads"] == 1
+
+    def test_explicit_blas_threads_kept(self):
+        assert startup_probe(OPENBLAS_NUM_THREADS="3")["blas_threads"] == "3"
+
+
 class TestUsage:
     def test_no_subcommand(self, capsys):
         code, _, err = run_cli(capsys)
@@ -209,7 +245,7 @@ class TestSamplePath:
                                "--seed", "9")
         assert code == 0
         env = parse_checked(out)
-        assert env["schema_version"] == "1"
+        assert env["schema_version"] == "2"
         assert env["manifest"]["subcommand"] == "sample-path"
         assert env["manifest"]["version"] == __version__
         rep = env["report"]
@@ -470,8 +506,10 @@ class TestMontecarlo:
                                "--replicas", "24", "--seed", "8",
                                "--csv", str(csv))
         assert code == 0
-        rep = parse_checked(out)["report"]
+        env = parse_checked(out)
+        rep = env["report"]
         assert rep["n_converged"] == 24 and rep["n_failed"] == 0
+        assert env["manifest"]["wall_time"] > 0 and "wall_time" not in rep
         assert rep["bounds_ok"] is True
         assert rep["expectation_band_ok"] is True
         assert rep["tightened"]["tightened_bound_ok"] is True
@@ -494,9 +532,17 @@ class TestMontecarlo:
     def test_worker_count_does_not_change_report(self, capsys, argv):
         _, out1, _ = run_cli(capsys, *argv, "--workers", "1")
         _, out2, _ = run_cli(capsys, *argv, "--workers", "2")
-        r1, r2 = json.loads(out1)["report"], json.loads(out2)["report"]
-        r1.pop("wall_time", None), r2.pop("wall_time", None)
-        assert r1 == r2
+        assert json.loads(out1)["report"] == json.loads(out2)["report"]
+
+    def test_all_replicas_failed(self, capsys, monkeypatch):
+        solve = montecarlo.power_iterate
+        monkeypatch.setattr(montecarlo, "power_iterate",
+                            lambda L, *a: replace(solve(L, *a), converged=False))
+        code, out, err = run_cli(capsys, "montecarlo", "--level", "4",
+                                 "--replicas", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: all replicas failed to converge\n"
 
     def test_bad_workers_env(self, capsys, monkeypatch):
         monkeypatch.setenv("RUELLE_RAND_WORKERS", "zero")
