@@ -46,10 +46,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(args, manifest: dict, rep: dict) -> None:
     text = report.dumps_envelope(manifest, rep)
-    sys.stdout.write(text)
+    # every file before stdout, so that a run that cannot write one exits 1
+    # with nothing on stdout
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with report.open_output(args.out) as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 def _config_dict(args, skip=("func", "subcommand")) -> dict:
@@ -92,7 +94,7 @@ def _cmd_sample_path(args) -> int:
     csv_path = args.csv
     if csv_path:
         n = grid.values.size - 1
-        rows = [(k, k / n, float(v)) for k, v in enumerate(grid.values)]
+        rows = ((k, k / n, float(v)) for k, v in enumerate(grid.values))
         report.write_csv(csv_path, ["k", "t", "value"], rows)
     rep = {
         "level": args.level,
@@ -129,8 +131,8 @@ def _cmd_spectrum(args) -> int:
     bounds = pathwise_bounds(L, res, grid)
     if args.emit_eigenfunction:
         # row k: the depth-n word of index k in base-m digits, t = k / m^n
-        rows = [(np.base_repr(k, m).zfill(n), k / m**n, float(h))
-                for k, h in enumerate(res.h.values)]
+        rows = ((np.base_repr(k, m).zfill(n), k / m**n, float(h))
+                for k, h in enumerate(res.h.values))
         report.write_csv(args.emit_eigenfunction, ["word", "t", "h"], rows)
     rep = {
         "lambda": res.eigenvalue,
@@ -295,7 +297,7 @@ def _cmd_plot(args) -> int:
     except ValueError as e:
         sys.stderr.write(f"error: {e}\n")
         return _USAGE_EXIT
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with report.open_output(args.out) as fh:
         fh.write(svg)
     rep = {"kind": args.kind, "input": args.input, "points": points}
     manifest = report.build_manifest("plot", _config_dict(args), __version__,

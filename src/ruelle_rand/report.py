@@ -4,14 +4,17 @@ JSON numbers carry 17 significant digits so every float survives a
 serialize/parse round trip bit-for-bit; keys are emitted sorted. The
 stdlib json encoder cannot pin float formatting, hence the small emitter
 here. Non-finite numbers are a hard error: a healthy run never produces
-them, and a report must not hide one that did.
+them, and a report must not hide one that did. Every file a run writes
+goes through `open_output`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import datetime
-import importlib.resources
 import json
+import os
+import stat
 
 SCHEMA_VERSION = "2"
 
@@ -84,8 +87,38 @@ def dumps_envelope(manifest: dict, report: dict) -> str:
 
 def schema_text() -> str:
     """The JSON schema shipped with the package."""
+    # only tests read it; imported here so that a CLI process does not load
+    # importlib.resources and, with it, pathlib and tempfile
+    import importlib.resources
+
     return (importlib.resources.files("ruelle_rand") / "schema"
             / "report.schema.json").read_text(encoding="utf-8")
+
+
+@contextlib.contextmanager
+def open_output(path: str):
+    """Text file (UTF-8, no newline translation) that rewrites ``path`` in
+    place: the one way a run writes a file.
+
+    The file is opened without O_TRUNC and, on exit (also by exception),
+    cut at the end of what was written. Truncating a file that holds data
+    to zero makes ext4 (``auto_da_alloc``) start writeback on close, and the
+    next run's truncating open then waits tens of milliseconds for it; an
+    in-place rewrite waits for nothing. Only regular files are cut, so
+    character devices (``/dev/null``) and pipes still work. Nothing is
+    fsync'd: after a crash the file may hold old and new bytes.
+    """
+    def no_truncate(p, _flags):
+        return os.open(p, os.O_WRONLY | os.O_CREAT, 0o666)
+
+    with open(path, "w", encoding="utf-8", newline="",
+              opener=no_truncate) as fh:
+        try:
+            yield fh
+        finally:
+            fh.flush()
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                os.ftruncate(fh.fileno(), fh.buffer.tell())
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
@@ -99,7 +132,7 @@ def write_csv(path: str, header: list[str], rows) -> None:
             return format_float(v)
         return str(v)
 
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         for row in rows:

@@ -1,3 +1,4 @@
+import contextlib
 import importlib.util
 import itertools
 import json
@@ -15,7 +16,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from ruelle_rand import __version__, brownian, cli, montecarlo
+from ruelle_rand import __version__, brownian, cli, montecarlo, report
 from ruelle_rand._rng import derive_seed
 from ruelle_rand.cli import dispatch
 from ruelle_rand.pressure import birkhoff_pressure
@@ -91,6 +92,22 @@ print(json.dumps({
 """
 
 
+# The same import with site processing off (`-S`), so that no `.pth` file has
+# loaded modules first: the package, then the interpreter's own site-packages.
+BARE_STARTUP_PROBE = """\
+import json, sys, sysconfig
+paths = sysconfig.get_paths()
+sys.path[:0] = [sys.argv[1], paths["purelib"], paths["platlib"]]
+try:
+    import numpy
+except ImportError:
+    print("null")
+    raise SystemExit
+import ruelle_rand.cli
+print(json.dumps([m for m in ("importlib.resources",) if m in sys.modules]))
+"""
+
+
 def startup_probe(**env) -> dict:
     base = {k: v for k, v in os.environ.items()
             if k != "OPENBLAS_NUM_THREADS"}
@@ -111,6 +128,16 @@ class TestStartup:
 
     def test_explicit_blas_threads_kept(self):
         assert startup_probe(OPENBLAS_NUM_THREADS="3")["blas_threads"] == "3"
+
+    def test_no_unused_imports_without_site(self):
+        out = subprocess.run([sys.executable, "-S", "-c", BARE_STARTUP_PROBE,
+                              SRC], capture_output=True, text=True,
+                             timeout=60, check=True)
+        loaded = json.loads(out.stdout)
+        if loaded is None:
+            pytest.skip("numpy is not importable from sysconfig's "
+                        "site-packages without site")
+        assert loaded == []
 
 
 class TestUsage:
@@ -237,6 +264,85 @@ class TestUsage:
 
     def test_schema_is_valid_draft(self):
         VALIDATOR.check_schema(SCHEMA)
+
+
+# Runs that write files, by relative name from a scratch directory: "a" is a
+# CSV or SVG, "b" the --out copy of the envelope, "in.csv" a plot's input.
+WRITING_RUNS = {
+    "sample-path": [["sample-path", "--level", "6", "--seed", "1",
+                     "--csv", "a", "--out", "b"]],
+    "spectrum": [["spectrum", "--level", "5", "--seed", "2",
+                  "--emit-eigenfunction", "a", "--out", "b"]],
+    "pressure": [["pressure", "--level", "5", "--replicas", "4", "--kmax", "8",
+                  "--emit-birkhoff", "a", "--out", "b"]],
+    "montecarlo": [["montecarlo", "--level", "5", "--replicas", "8",
+                    "--csv", "a", "--out", "b"]],
+    "plot-path": [["sample-path", "--level", "5", "--csv", "in.csv"],
+                  ["plot", "--kind", "path", "--input", "in.csv", "--out", "a"]],
+    "plot-histogram": [["montecarlo", "--level", "5", "--replicas", "12",
+                        "--csv", "in.csv"],
+                       ["plot", "--kind", "histogram", "--input", "in.csv",
+                        "--out", "a"]],
+    "plot-birkhoff": [["pressure", "--level", "5", "--replicas", "4",
+                       "--kmax", "16", "--emit-birkhoff", "in.csv"],
+                      ["plot", "--kind", "birkhoff", "--input", "in.csv",
+                       "--out", "a"]],
+}
+
+
+@contextlib.contextmanager
+def truncating_output(path):
+    with open(path, "w", encoding="utf-8") as fh:
+        yield fh
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("name", sorted(WRITING_RUNS))
+    def test_rewrite_bytes_equal_a_truncating_write(self, capsys, monkeypatch,
+                                                    tmp_path, name):
+        def run_all(where, stale):
+            where.mkdir()
+            for f in stale:
+                (where / f).write_text("stale " * 50_000)
+            monkeypatch.chdir(where)
+            for argv in WRITING_RUNS[name]:
+                code, out, _ = run_cli(capsys, *argv)
+                assert code == 0
+            return {f: (where / f).read_bytes() for f in ("a", "b", "in.csv")
+                    if (where / f).exists()}, out
+
+        with monkeypatch.context() as mp:
+            mp.setattr(report, "open_output", truncating_output)
+            plain, _ = run_all(tmp_path / "plain", ())
+        rewritten, out = run_all(tmp_path / "rewritten", plain)
+        assert rewritten.keys() == plain.keys()
+        for f in plain.keys() - {"b"}:
+            assert rewritten[f] == plain[f], f
+        if "b" in plain:
+            # the envelope's timestamp may differ between the two runs
+            ref = tmp_path / "stdout.json"
+            with open(ref, "w", encoding="utf-8") as fh:
+                fh.write(out)
+            assert rewritten["b"] == ref.read_bytes()
+
+    def test_unwritable_out_leaves_stdout_empty(self, capsys, tmp_path):
+        dest = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, "spectrum", "--level", "3",
+                                 "--out", str(dest))
+        assert code == 1
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error: [Errno 2] ") and str(dest) in line
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"),
+                        reason="no /dev/null")
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--level", "3", "--out"),
+        ("pressure", "--level", "5", "--replicas", "4", "--emit-birkhoff")])
+    def test_dev_null_target(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "/dev/null")
+        assert code == 0
+        parse_checked(out)
 
 
 class TestSamplePath:
