@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, brownian, montecarlo, pressure, report
+from . import __version__, brownian, report
 from ._rng import derive_seed, level_stream
 from .skorokhod import StepFunction, sup_norm, theta, theta_inverse
 from .symbolic import Alphabet
@@ -74,7 +74,9 @@ def _alphabet(args) -> Alphabet:
     return Alphabet(args.alphabet)
 
 
-def _replica_config(args, level: int) -> montecarlo.ReplicaConfig:
+def _replica_config(args, level: int):
+    from . import montecarlo
+
     return montecarlo.ReplicaConfig(
         level=level, alphabet=_alphabet(args), beta=args.beta,
         master_seed=args.seed, replicas=args.replicas)
@@ -113,6 +115,21 @@ def _cmd_sample_path(args) -> int:
     return 0
 
 
+def _words(m: int, n: int) -> np.ndarray:
+    """The m^n depth-n words in index order as base-m digit strings (dtype
+    S{n}, m <= 10), most significant letter first: one uint8 digit column
+    per letter position, filled from the last."""
+    k = np.arange(m**n)
+    digits = np.empty((k.size, n), dtype=np.uint8)
+    r = np.empty_like(k)
+    for i in range(n - 1, -1, -1):
+        np.remainder(k, m, out=r)
+        digits[:, i] = r
+        k //= m
+    digits += ord("0")
+    return digits.view(f"S{n}").ravel()
+
+
 def _cmd_spectrum(args) -> int:
     beta = _resolved_beta(args)
     alphabet = _alphabet(args)
@@ -131,8 +148,8 @@ def _cmd_spectrum(args) -> int:
     bounds = pathwise_bounds(L, res, grid)
     if args.emit_eigenfunction:
         # row k: the depth-n word of index k in base-m digits, t = k / m^n
-        rows = ((np.base_repr(k, m).zfill(n), k / m**n, float(h))
-                for k, h in enumerate(res.h.values))
+        rows = ((w.decode(), k / m**n, float(h))
+                for k, (w, h) in enumerate(zip(_words(m, n), res.h.values)))
         report.write_csv(args.emit_eigenfunction, ["word", "t", "h"], rows)
     rep = {
         "lambda": res.eigenvalue,
@@ -191,6 +208,9 @@ def _cmd_isometry_check(args) -> int:
 
 
 def _cmd_pressure(args) -> int:
+    # montecarlo and pressure load only for the replica subcommands
+    from . import montecarlo, pressure
+
     config = _replica_config(args, args.level)
     if args.kmax < 1:
         raise ValueError("kmax must be >= 1")
@@ -219,6 +239,8 @@ def _cmd_pressure(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
+    from . import montecarlo
+
     config = _replica_config(args, args.level)
     rows, mc = montecarlo.run(config, args.workers)
     if mc is None:
@@ -254,6 +276,8 @@ def _cmd_refine_study(args) -> int:
     except ValueError:
         sys.stderr.write("error: --levels must be a comma-separated integer list\n")
         return _USAGE_EXIT
+    from . import montecarlo
+
     config = _replica_config(args, levels[0])
     rep = montecarlo.refinement_study(config, levels, args.workers)
     if rep is None:
@@ -335,7 +359,7 @@ def _add_common(p, *, beta_default=1.0, beta_sentinel=False):
 
 def _add_workers(p):
     p.add_argument("--workers", type=int, default=None,
-                   help=f"parallel workers (default ${montecarlo.WORKERS_ENV} or 1)")
+                   help="parallel workers (default $RUELLE_RAND_WORKERS or 1)")
 
 
 def build_parser() -> _Parser:

@@ -24,8 +24,8 @@ from ._rng import derive_seed
 from .pressure import PressureSample, mean_stderr, pressure_sample
 from .symbolic import Alphabet
 from .transfer import (DEFAULT_MAX_ITERS, TransferOperator,
-                       build_potential, pathwise_bounds, perron_eigenvalue,
-                       power_iterate, ratio_representation)
+                       build_potential, eigenmeasure, pathwise_bounds,
+                       perron_eigenvalue, power_iterate, ratio_representation)
 
 WORKERS_ENV = "RUELLE_RAND_WORKERS"
 
@@ -122,9 +122,15 @@ def _replica_row(arg: tuple[ReplicaConfig, int]) -> ReplicaRow:
     config, i = arg
     seed, grid, L = replica_operator(config, i)
     res = power_iterate(L, config.max_iters)
-    if res.converged:
+    iterations, converged = res.iterations, res.converged
+    if converged:
+        # the positivity check reads nu, so the reversed solve runs once the
+        # right one converged; the row counts both
+        nu, rev_iters, converged = eigenmeasure(L, config.max_iters)
+        iterations += rev_iters
+    if converged:
         bounds = pathwise_bounds(L, res, grid)
-        positive = bool(np.all(res.h.values > 0) and np.all(res.nu > 0))
+        positive = bool(np.all(res.h.values > 0) and np.all(nu > 0))
         ratio = ratio_representation(L, res, grid)
         ratio_gap = abs(ratio - res.eigenvalue) / res.eigenvalue
     else:
@@ -138,9 +144,9 @@ def _replica_row(arg: tuple[ReplicaConfig, int]) -> ReplicaRow:
         log_eigenvalue=res.log_eigenvalue,
         m1=float(np.max(grid.values)),
         b1=float(grid.values[-1]),
-        iterations=res.iterations,
+        iterations=iterations,
         residual=res.residual,
-        converged=res.converged,
+        converged=converged,
         lower_ok=bounds["lower_ok"],
         upper_ok=bounds["upper_ok"],
         positive_ok=positive,

@@ -84,35 +84,39 @@ class TransferOperator:
         G = np.exp(self.potential.phi) * f
         return np.repeat(G.reshape(m, -1).sum(axis=0), m)
 
-    def _apply_log(self, g: np.ndarray) -> np.ndarray:
-        # log-sum-exp over the m preimage terms of phi + g
-        m = self.alphabet.m
-        A = (self.potential.phi + g).reshape(m, -1)
+    def _log_quotient(self, g: np.ndarray) -> np.ndarray:
+        # log (L e^g) on the m^(n-1) quotient words: the log-sum-exp over the
+        # m preimage terms of phi + g, in place on the one depth-n temporary.
+        # g is a depth-n vector, or a quotient vector G that stands for
+        # repeat(G, m) without forming it
+        phi = self.potential.phi
+        A = (phi.reshape(g.size, -1) + g[:, None]).reshape(self.alphabet.m, -1)
         amax = A.max(axis=0)
-        S = amax + np.log(np.exp(A - amax).sum(axis=0))
-        return np.repeat(S, m)
+        A -= amax
+        return amax + np.log(np.exp(A, out=A).sum(axis=0))
+
+    def _apply_log(self, g: np.ndarray) -> np.ndarray:
+        return np.repeat(self._log_quotient(g), self.alphabet.m)
 
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Perron data of one operator. eigenvalue/log_eigenvalue are the JSON
-    report's lambda/log_lambda; h is normalized h[0^n] = 1, nu sums to 1.
+    """Right Perron data of one operator. eigenvalue/log_eigenvalue are the
+    JSON report's lambda/log_lambda; h is normalized h[0^n] = 1.
 
     bracket is the Collatz-Wielandt certificate min(Lh/h) <= lambda <=
-    max(Lh/h) of h. iterations counts the operator applications of both
-    solves. An unconverged result stops after the right solve: nu is then
-    NaN, and h and bracket are its last iterate's. A lambda past the
-    float64 range is inf, while log_eigenvalue stays finite.
+    max(Lh/h) of h. iterations and converged are the right solve's; an
+    unconverged result's h and bracket are its last iterate's. A lambda
+    past the float64 range is inf, while log_eigenvalue stays finite.
 
-    spectrum reports h, nu and the residual, and montecarlo's positivity
-    check reads h and nu; callers that read only lambda (pressure,
-    refine-study) use perron_eigenvalue instead.
+    spectrum reports lambda, h and the residual; montecarlo's positivity
+    check reads h and eigenmeasure's nu. Callers that read only lambda
+    (pressure, refine-study) use perron_eigenvalue instead.
     """
 
     eigenvalue: float
     log_eigenvalue: float
     h: CylinderFunction
-    nu: np.ndarray
     iterations: int
     residual: float
     converged: bool
@@ -122,8 +126,8 @@ class SpectralResult:
 @dataclass(frozen=True)
 class PerronEigenvalue:
     """lambda alone, from the right solve: the fields of SpectralResult that
-    the Collatz-Wielandt bracket certifies without h or nu. iterations
-    counts the right solve's operator applications."""
+    the Collatz-Wielandt bracket certifies without h. iterations counts the
+    right solve's operator applications."""
 
     eigenvalue: float
     log_eigenvalue: float
@@ -277,8 +281,8 @@ def perron_eigenvalue(L: TransferOperator,
     """lambda, certified by the Collatz-Wielandt bracket of one right solve.
 
     The same core run, and the same bits, as power_iterate's eigenvalue,
-    log_eigenvalue and bracket; converged is the right solve's. No
-    reversed solve, residual or eigenvector is formed.
+    log_eigenvalue, bracket, iterations and converged. No residual or
+    eigenvector is formed.
     """
     _, c, lo, hi, iters, ok, _ = _perron_core(
         L.potential.phi, L.alphabet.m, L.level, max_iters)
@@ -290,48 +294,54 @@ def power_iterate(L: TransferOperator,
                   max_iters: int = DEFAULT_MAX_ITERS) -> SpectralResult:
     """Perron eigendata, certified by the Collatz-Wielandt bracket.
 
-    Two runs of one quotient core: on phi for h, then on phi o R for the
-    right vector h' of the reversed operator, which gives
-    nu[k] = exp(phi[k]) h'[R k] / norm. Each run stops when its bracket's
-    relative width is <= DEFAULT_TOL; the result is converged only if both
-    are, and a failed right run returns at once, spending at most max_iters
-    applications.
+    One run of the quotient core gives lambda, its bracket and h; it stops
+    when the bracket's relative width is <= DEFAULT_TOL or after max_iters
+    applications. h and Lh are constant over the last letter, so the
+    residual is formed on the m^(n-1) quotient words and only h is repeated
+    to depth n.
 
     Non-convergence is reported through the converged flag, never raised:
-    replica batches must see the failure, not die on it. Callers that need
-    nu, h or the residual (spectrum, montecarlo) call this; perron_eigenvalue
-    runs the right solve alone.
+    replica batches must see the failure, not die on it. Callers that read
+    only lambda (pressure, refine-study) use perron_eigenvalue, which runs
+    the same core and forms no h or residual; eigenmeasure gives nu.
     """
-    m, n = L.alphabet.m, L.level
-    phi = L.potential.phi
-    logH, c, lo, hi, iters, ok, _ = _perron_core(phi, m, n, max_iters)
+    m = L.alphabet.m
+    logH, c, lo, hi, iters, ok, _ = _perron_core(
+        L.potential.phi, m, L.level, max_iters)
     lam, llam, bracket = _eigenvalue(c, lo, hi)
-    logh = np.repeat(logH, m)
     # residual max|Lh - lam h| / (lam ||h||_inf), formed on h / ||h||_inf
-    # so that extreme beta cannot overflow
-    g = logh - logh.max()
-    residual = float(np.max(np.abs(np.exp(L._apply_log(g) - llam) - np.exp(g))))
-    h = np.exp(logh - logh[0])
-    if ok:
-        logH, _, _, _, rev_iters, ok, _ = _perron_core(
-            _reverse(phi, m, n), m, n, max_iters)
-        iters += rev_iters
-        lnu = phi.reshape(-1, logH.size) + _reverse(logH, m, n - 1)
-        lnu -= lnu.max()
-        nu = np.exp(lnu, out=lnu).ravel()
-        nu /= nu.sum()
-    else:
-        nu = np.full(phi.size, np.nan)
+    # so that extreme beta cannot overflow; S is log Lh on the quotient words
+    G = logH - logH.max()
+    S = L._log_quotient(G)
+    residual = float(np.max(np.abs(np.exp(S - llam) - np.exp(G))))
+    h = np.repeat(np.exp(logH - logH[0]), m)
     return SpectralResult(
         eigenvalue=lam,
         log_eigenvalue=llam,
         h=CylinderFunction(L.level, L.alphabet, h),
-        nu=nu,
         iterations=iters,
         residual=residual,
         converged=ok,
         bracket=bracket,
     )
+
+
+def eigenmeasure(L: TransferOperator, max_iters: int = DEFAULT_MAX_ITERS):
+    """(nu, iterations, converged): the eigenmeasure of L as a probability
+    vector, from one run of the quotient core on phi o R.
+
+    Its right vector h' gives nu[k] = exp(phi[k]) h'[R k] / norm. The run
+    stops as power_iterate's does; an unconverged nu is its last iterate's.
+    """
+    m, n = L.alphabet.m, L.level
+    phi = L.potential.phi
+    logH, _, _, _, iters, ok, _ = _perron_core(
+        _reverse(phi, m, n), m, n, max_iters)
+    lnu = phi.reshape(-1, logH.size) + _reverse(logH, m, n - 1)
+    lnu -= lnu.max()
+    nu = np.exp(lnu, out=lnu).ravel()
+    nu /= nu.sum()
+    return nu, iters, ok
 
 
 def ratio_representation(L: TransferOperator, result: SpectralResult,

@@ -86,7 +86,8 @@ task = "/proc/self/task"
 print(json.dumps({
     "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     "threads": len(os.listdir(task)) if os.path.isdir(task) else None,
-    "loaded": [m for m in ("multiprocessing", "csv", "ruelle_rand.figures")
+    "loaded": [m for m in ("multiprocessing", "csv", "ruelle_rand.figures",
+                           "ruelle_rand.montecarlo", "ruelle_rand.pressure")
                if m in sys.modules],
 }))
 """
@@ -477,6 +478,14 @@ class TestSpectrum:
             assert float(t) == float(Fraction(k, m**level))
             assert float(hk) == h[k] > 0
 
+    @pytest.mark.parametrize("m,level", [(2, 1), (2, 9), (3, 1), (3, 5),
+                                         (7, 1), (7, 3), (10, 1), (10, 3)])
+    def test_word_column_is_base_m(self, m, level):
+        words = cli._words(m, level)
+        assert words.dtype == np.dtype(f"S{level}")
+        assert [w.decode() for w in words] == [
+            np.base_repr(k, m).zfill(level) for k in range(m**level)]
+
     def test_wide_alphabet_csv_refused_before_sampling(self, capsys,
                                                        monkeypatch, tmp_path):
         def no_path(*args, **kwargs):
@@ -649,6 +658,34 @@ class TestMontecarlo:
         assert code == 2
         assert out == ""
         assert err == "error: all replicas failed to converge\n"
+
+    def test_zero_nu_entry_is_a_positivity_violation(self, capsys,
+                                                     monkeypatch):
+        solve = montecarlo.eigenmeasure
+        calls = []
+
+        def zero_first(L, *a):
+            nu, iters, ok = solve(L, *a)
+            if not calls:
+                nu[0] = 0.0
+            calls.append(1)
+            return nu, iters, ok
+        argv = ("montecarlo", "--level", "6", "--replicas", "3",
+                "--workers", "1")
+        assert run_cli(capsys, *argv)[0] == 0  # the unpatched batch passes
+        monkeypatch.setattr(montecarlo, "eigenmeasure", zero_first)
+        code, out, _ = run_cli(capsys, *argv)
+        rep = parse_checked(out)["report"]
+        assert len(calls) == 3
+        assert rep["bound_violations"] == {"lower": 0, "upper": 0,
+                                           "positivity": 1}
+        assert rep["bounds_ok"] is False
+        assert code == 2
+
+    def test_workers_help_names_the_env_var(self, capsys):
+        code, out, _ = run_cli(capsys, "montecarlo", "--help")
+        assert code == 0
+        assert f"${montecarlo.WORKERS_ENV}" in out
 
     def test_bad_workers_env(self, capsys, monkeypatch):
         monkeypatch.setenv("RUELLE_RAND_WORKERS", "zero")

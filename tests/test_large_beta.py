@@ -12,6 +12,7 @@ of decades. Two references hold there:
   by the dual eigen-equation.
 """
 
+import json
 import math
 from functools import lru_cache
 
@@ -21,9 +22,10 @@ import pytest
 from oracles import dense_matrix, dense_perron, max_cycle_mean
 from test_acceptance import DENSE_LAMBDA_TOL, RATIO_TOL
 from ruelle_rand.brownian import sample
+from ruelle_rand.cli import dispatch
 from ruelle_rand.symbolic import Alphabet
 from ruelle_rand.transfer import (PotentialField, TransferOperator,
-                                  build_potential, power_iterate)
+                                  build_potential, eigenmeasure, power_iterate)
 
 BETAS = (3.0, 10.0, 20.0, 40.0, 100.0)
 # B rounded to this grid keeps every walk sum in Karp's recursion exact
@@ -84,5 +86,29 @@ def test_dense_oracle(m, level, seed, beta):
     assert lo * (1 - DENSE_LAMBDA_TOL) <= lam <= hi * (1 + DENSE_LAMBDA_TOL)
     # nu is a probability vector whose tail may underflow: check nu A = lam nu
     # in total variation
-    assert r.nu.sum() == pytest.approx(1.0, abs=1e-14)
-    assert np.abs(r.nu @ A - lam * r.nu).sum() <= RATIO_TOL * lam
+    nu = eigenmeasure(L)[0]
+    assert nu.sum() == pytest.approx(1.0, abs=1e-14)
+    assert np.abs(nu @ A - lam * nu).sum() <= RATIO_TOL * lam
+
+
+def test_spectrum_reads_the_right_solve_alone(capsys):
+    # the reversed solve's weights underflow on this path, and its bracket
+    # (0, 1) once made spectrum exit 2 on a certified right solve
+    m, level, seed, beta = 2, 5, 6, 700.0
+    code = dispatch(["spectrum", "--level", str(level), "--seed", str(seed),
+                     "--beta", str(beta)])
+    rep = json.loads(capsys.readouterr().out)["report"]
+    assert code == 0
+    assert rep["converged"] is True and rep["iterations"] == 376
+    grid = sample(level, Alphabet(m), seed)
+    L = TransferOperator(build_potential(grid, beta))
+    # the oracle's h and nu divide by entries that underflow here; only its
+    # lambda is read
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam, _, _ = dense_perron(L.potential)
+    assert abs(rep["lambda"] - lam) / lam <= DENSE_LAMBDA_TOL
+    b = grid.values[:-1]
+    c_star = max_cycle_mean(b, m)
+    slack = 16 * EPS * (beta * float(np.max(np.abs(b))) + math.log(m))
+    assert (beta * c_star - slack <= rep["log_lambda"]
+            <= beta * c_star + math.log(m) + slack)

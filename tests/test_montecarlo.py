@@ -5,15 +5,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ruelle_rand import brownian
+from ruelle_rand import brownian, montecarlo
 from ruelle_rand._rng import derive_seed
 from ruelle_rand.montecarlo import (ReplicaConfig, _replica_row, aggregate,
                                     map_replicas, pressure_row,
-                                    refinement_study, resolve_workers, run,
-                                    run_replicas, tightened_upper_check)
+                                    refinement_study, replica_operator,
+                                    resolve_workers, run, run_replicas,
+                                    tightened_upper_check)
 from ruelle_rand.pressure import pressure_sample
-from ruelle_rand.transfer import (TransferOperator, build_potential,
-                                  power_iterate)
+from ruelle_rand.transfer import (DEFAULT_MAX_ITERS, TransferOperator,
+                                  _perron_core, _reverse, build_potential,
+                                  eigenmeasure, power_iterate)
 from ruelle_rand.symbolic import Alphabet
 
 B2 = Alphabet(2)
@@ -82,6 +84,42 @@ class TestReplicaRow:
         assert row.m1 == float(np.max(g.values))
         assert row.b1 == float(g.values[-1])
         assert row.m1 >= 0.0 and row.m1 >= row.b1
+
+    def test_failed_right_solve_skips_the_reversed_one(self, monkeypatch):
+        def no_reversed_solve(*a):
+            raise AssertionError("reversed solve after a failed right solve")
+        monkeypatch.setattr(montecarlo, "eigenmeasure", no_reversed_solve)
+        cfg = ReplicaConfig(level=8, beta=1.0, master_seed=43, max_iters=5)
+        row = _replica_row((cfg, 0))
+        assert not row.converged
+        assert row.iterations == 5
+        assert not row.positive_ok and row.ratio_gap == math.inf
+
+    def test_unconverged_reversed_solve_is_flagged(self):
+        cfg = ReplicaConfig(level=8, beta=1.0, master_seed=5)
+        _, _, L = replica_operator(cfg, 0)
+        phi = L.potential.phi
+        right = _perron_core(phi, 2, 8, DEFAULT_MAX_ITERS)[4]
+        rev = _perron_core(_reverse(phi, 2, 8), 2, 8, DEFAULT_MAX_ITERS)[4]
+        assert right < rev  # this path's reversed solve is the slower one
+        _, iters, ok = eigenmeasure(L, max_iters=right)
+        assert not ok and iters == right
+        row = _replica_row((replace(cfg, max_iters=right), 0))
+        assert not row.converged
+        assert row.iterations == 2 * right
+        assert row.residual <= 1e-11  # the right solve itself converged
+
+    def test_iterations_count_both_solves(self):
+        cfg = ReplicaConfig(level=10, beta=1.0, master_seed=45)
+        _, _, L = replica_operator(cfg, 0)
+        phi = L.potential.phi
+        counts = [_perron_core(p, 2, 10, DEFAULT_MAX_ITERS)[4]
+                  for p in (phi, _reverse(phi, 2, 10))]
+        assert power_iterate(L).iterations == counts[0]
+        assert eigenmeasure(L)[1:] == (counts[1], True)
+        row = _replica_row((cfg, 0))
+        assert row.converged
+        assert row.iterations == sum(counts)
 
 
 class TestPressureRow:

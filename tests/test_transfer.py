@@ -12,7 +12,7 @@ from ruelle_rand.symbolic import Alphabet
 from ruelle_rand.transfer import (DEFAULT_MAX_ITERS, DEFAULT_TOL,
                                   PotentialField, TransferOperator,
                                   _perron_core, _reverse, apply,
-                                  build_potential,
+                                  build_potential, eigenmeasure,
                                   functional_equation_residual, pathwise_bounds,
                                   perron_eigenvalue, power_iterate,
                                   ratio_representation)
@@ -114,11 +114,12 @@ class TestApply:
 class TestPowerIterate:
     def test_zero_noise_exact(self):
         g = sample(8, B2, 5, zero_noise=True)
-        r = power_iterate(TransferOperator(build_potential(g, 1.0)))
+        L = TransferOperator(build_potential(g, 1.0))
+        r = power_iterate(L)
         assert r.eigenvalue == 2.0
         assert r.converged
         assert np.all(r.h.values == 1.0)
-        assert np.allclose(r.nu, 1 / 256, rtol=1e-12)
+        assert np.allclose(eigenmeasure(L)[0], 1 / 256, rtol=1e-12)
         assert r.residual == 0.0
         assert r.bracket == (2.0, 2.0)
 
@@ -135,14 +136,15 @@ class TestPowerIterate:
         assert r.converged
         assert abs(r.eigenvalue - lam) / lam <= 1e-9
         assert np.max(np.abs(r.h.values - h)) / np.max(np.abs(h)) <= 1e-8
-        assert np.max(np.abs(r.nu - nu)) <= 1e-8
+        assert np.max(np.abs(eigenmeasure(L)[0] - nu)) <= 1e-8
 
     def test_normalizations(self):
         L, _ = seeded_op(7, 31)
         r = power_iterate(L)
+        nu = eigenmeasure(L)[0]
         assert r.h.values[0] == 1.0
-        assert r.nu.sum() == pytest.approx(1.0, abs=1e-14)
-        assert np.all(r.h.values > 0) and np.all(r.nu > 0)
+        assert nu.sum() == pytest.approx(1.0, abs=1e-14)
+        assert np.all(r.h.values > 0) and np.all(nu > 0)
         assert r.eigenvalue > 1.0
         assert r.log_eigenvalue == pytest.approx(math.log(r.eigenvalue), rel=1e-14)
 
@@ -158,32 +160,57 @@ class TestPowerIterate:
         assert r.iterations == 1
         assert r.residual > 1e-6  # negative control
 
-    def test_failed_right_solve_skips_the_reversed_one(self):
-        L, _ = seeded_op(8, 43)
-        r = power_iterate(L, max_iters=5)
-        assert not r.converged
-        assert r.iterations == 5
-        assert np.all(np.isnan(r.nu))
+    def test_runs_the_right_core_once(self, monkeypatch):
+        runs = []  # (potential, iterations) of every core run
+        core = transfer._perron_core
 
-    def test_unconverged_reversed_solve_is_flagged(self):
-        L, _ = seeded_op(8, 44)
-        phi = L.potential.phi
-        right = _perron_core(phi, 2, 8, DEFAULT_MAX_ITERS)[4]
-        rev = _perron_core(_reverse(phi, 2, 8), 2, 8, DEFAULT_MAX_ITERS)[4]
-        assert right < rev  # this path's reversed solve is the slower one
-        r = power_iterate(L, max_iters=right)
-        assert not r.converged
-        assert r.iterations == 2 * right
-        assert r.residual <= 1e-11  # the right solve itself converged
-
-    def test_iterations_count_both_solves(self):
+        def counted(phi, *a):
+            out = core(phi, *a)
+            runs.append((phi, out[4]))
+            return out
+        monkeypatch.setattr(transfer, "_perron_core", counted)
         L, _ = seeded_op(10, 45)
-        phi = L.potential.phi
-        counts = [_perron_core(p, 2, 10, DEFAULT_MAX_ITERS)[4]
-                  for p in (phi, _reverse(phi, 2, 10))]
         r = power_iterate(L)
-        assert r.converged
-        assert r.iterations == sum(counts)
+        [(phi, iters)] = runs
+        assert phi is L.potential.phi
+        assert r.converged and r.iterations == iters
+
+    def test_quotient_residual_and_h_bits(self, monkeypatch):
+        # the residual and h formed on the m^(n-1) quotient words equal the
+        # depth-n formulas bit for bit
+        builds = []  # weight builds: more than one per solve means a fold
+        scaled = transfer._scaled_weights
+        monkeypatch.setattr(transfer, "_scaled_weights",
+                            lambda *a: builds.append(1) or scaled(*a))
+        folded = shifted = False
+        for alphabet, levels in ((B2, (1, 2, 5, 9, 12)), (B3, (1, 2, 4, 7)),
+                                 (Alphabet(5), (1, 3))):
+            m = alphabet.m
+            for n in levels:
+                for beta in (0.5, 1.0, 10.0, 400.0):
+                    L, _ = seeded_op(n, n + 7, beta=beta, alphabet=alphabet)
+                    del builds[:]
+                    logH, _, _, _, _, _, shift_at = _perron_core(
+                        L.potential.phi, m, n, DEFAULT_MAX_ITERS)
+                    folded |= len(builds) > 1
+                    shifted |= shift_at is not None
+                    # h past float64 at beta = 400 overflows on both sides
+                    with np.errstate(over="ignore"):
+                        r = power_iterate(L)
+                        logh = np.repeat(logH, m)
+                        g = logh - logh.max()
+                        # log Lg at depth n: log-sum-exp over the preimages
+                        A = (L.potential.phi + g).reshape(m, -1)
+                        amax = A.max(axis=0)
+                        Lg = np.repeat(
+                            amax + np.log(np.exp(A - amax).sum(axis=0)), m)
+                        want = float(np.max(np.abs(
+                            np.exp(Lg - r.log_eigenvalue) - np.exp(g))))
+                        h = np.exp(logh - logh[0])
+                    case = (m, n, beta)
+                    assert r.residual == want, case
+                    assert r.h.values.tobytes() == h.tobytes(), case
+        assert folded and shifted
 
     @pytest.mark.parametrize("alphabet,level,seed,beta",
                              [(B2, 10, 46, 1.0), (B3, 6, 47, 1.0),
@@ -209,7 +236,7 @@ class TestPowerIterate:
             assert r.converged
             assert abs(r.eigenvalue - lam) / lam <= 1e-9
             assert np.allclose(r.h.values, h, rtol=1e-9)
-            assert np.allclose(r.nu, nu, rtol=1e-9)
+            assert np.allclose(eigenmeasure(L)[0], nu, rtol=1e-9)
 
     def test_log_domain_large_beta_matches_dense(self):
         # beta * oscillation > 30: weights spanning more than 13 decades
@@ -223,10 +250,11 @@ class TestPowerIterate:
     def test_duality_discrete(self):
         L, _ = seeded_op(6, 61)
         r = power_iterate(L)
+        nu = eigenmeasure(L)[0]
         rng = np.random.default_rng(5)
         f = rng.uniform(0.1, 3.0, size=64)
-        lhs = float(L._apply(f) @ r.nu)
-        rhs = float(r.eigenvalue * (f @ r.nu))
+        lhs = float(L._apply(f) @ nu)
+        rhs = float(r.eigenvalue * (f @ nu))
         assert abs(lhs - rhs) / abs(rhs) <= 10 * DEFAULT_TOL
 
     def test_scale_covariance(self):
