@@ -24,8 +24,8 @@ from ._rng import derive_seed
 from .pressure import PressureSample, mean_stderr, pressure_sample
 from .symbolic import Alphabet
 from .transfer import (DEFAULT_MAX_ITERS, TransferOperator,
-                       build_potential, eigenmeasure, pathwise_bounds,
-                       perron_eigenvalue, power_iterate, ratio_representation)
+                       build_potential, pathwise_bounds, perron_eigenvalue,
+                       power_iterate, ratio_representation)
 
 WORKERS_ENV = "RUELLE_RAND_WORKERS"
 
@@ -62,6 +62,7 @@ class ReplicaRow:
     lower_ok: bool
     upper_ok: bool
     positive_ok: bool
+    log_floor: float
     ratio_gap: float
 
 
@@ -75,6 +76,9 @@ class McReport:
     stderr_log_lambda: float
     quantiles: dict
     bound_violations: dict
+    # the converged rows' smallest log_floor: on every path, each nu[w] and
+    # h[w] / sum(h) is above its exp
+    positivity_log_floor: float
     # seconds the replicas took: run metadata, which the CLI puts in the
     # manifest so the report stays a pure function of the config
     wall_time: float
@@ -122,15 +126,11 @@ def _replica_row(arg: tuple[ReplicaConfig, int]) -> ReplicaRow:
     config, i = arg
     seed, grid, L = replica_operator(config, i)
     res = power_iterate(L, config.max_iters)
-    iterations, converged = res.iterations, res.converged
-    if converged:
-        # the positivity check reads nu, so the reversed solve runs once the
-        # right one converged; the row counts both
-        nu, rev_iters, converged = eigenmeasure(L, config.max_iters)
-        iterations += rev_iters
-    if converged:
+    if res.converged:
         bounds = pathwise_bounds(L, res, grid)
-        positive = bool(np.all(res.h.values > 0) and np.all(nu > 0))
+        # h > 0 as computed, and nu > 0 certified by lambda's bracket alone
+        positive = bool(np.all(res.h.values > 0)
+                        and math.isfinite(res.log_floor))
         ratio = ratio_representation(L, res, grid)
         ratio_gap = abs(ratio - res.eigenvalue) / res.eigenvalue
     else:
@@ -144,19 +144,20 @@ def _replica_row(arg: tuple[ReplicaConfig, int]) -> ReplicaRow:
         log_eigenvalue=res.log_eigenvalue,
         m1=float(np.max(grid.values)),
         b1=float(grid.values[-1]),
-        iterations=iterations,
+        iterations=res.iterations,
         residual=res.residual,
-        converged=converged,
+        converged=res.converged,
         lower_ok=bounds["lower_ok"],
         upper_ok=bounds["upper_ok"],
         positive_ok=positive,
+        log_floor=res.log_floor,
         ratio_gap=ratio_gap,
     )
 
 
 def pressure_row(arg: tuple[ReplicaConfig, int]) -> PressureSample | None:
     """Replica's PressureSample, or None when its right solve did not
-    converge. Only lambda is read, so no reversed solve runs."""
+    converge. Only lambda is read, so no h is formed."""
     config, i = arg
     _, grid, L = replica_operator(config, i)
     res = perron_eigenvalue(L, config.max_iters)
@@ -194,6 +195,7 @@ def aggregate(config: ReplicaConfig, rows: list[ReplicaRow],
             "upper": sum(1 for r in good if not r.upper_ok),
             "positivity": sum(1 for r in good if not r.positive_ok),
         },
+        positivity_log_floor=min(r.log_floor for r in good),
         wall_time=wall_time,
     )
 

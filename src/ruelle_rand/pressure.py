@@ -59,9 +59,11 @@ def birkhoff_pressure(L: TransferOperator, ix: int, kmax: int) -> np.ndarray:
 
 
 def mean_stderr(v: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error (0 for a single sample)."""
-    se = float(v.std(ddof=1) / math.sqrt(v.size)) if v.size > 1 else 0.0
-    return float(v.mean()), se
+    """Sample mean and its standard error (0 for a single sample); inf past
+    float64, which a report refuses."""
+    with np.errstate(over="ignore"):
+        se = float(v.std(ddof=1) / math.sqrt(v.size)) if v.size > 1 else 0.0
+        return float(v.mean()), se
 
 
 @lru_cache(maxsize=16)

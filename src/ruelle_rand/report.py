@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import datetime
+import itertools
 import json
 import os
 import stat
@@ -121,22 +122,46 @@ def open_output(path: str):
                 os.ftruncate(fh.fileno(), fh.buffer.tell())
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
-    """CSV with floats at 17 significant digits, ints verbatim."""
-    import csv  # only the runs that write or read a CSV load it
+# %-format of each cell type write_csv takes; format_float's digits
+_CELL_FORMATS = {float: "%.17g", int: "%d", str: "%s"}
 
-    def cell(v):
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, float):
-            return format_float(v)
-        return str(v)
+
+def write_csv(path: str, header: list[str], rows) -> None:
+    """CSV of int, float and str cells: floats at 17 significant digits,
+    the rest verbatim. Cells are never quoted, so a cell holding a comma,
+    quote or line break is refused, as is a row not as wide as the header.
+
+    Each row is one %-format, picked by its cells' types, and rows go out
+    4096 at a time. A chunk whose text holds "inf" or "nan" is redone cell
+    by cell, so format_float's ValueError on a non-finite float comes once
+    the rows before it are written.
+    """
+    formats = {}
+
+    def line(row) -> str:
+        types = tuple(map(type, row))
+        if types not in formats:
+            formats[types] = ",".join(_CELL_FORMATS[t] for t in types) + "\n"
+        return formats[types] % tuple(row)
+
+    def lines(chunk) -> str:
+        text = "".join(map(line, chunk))
+        if (text.count(",") != len(chunk) * (len(header) - 1) or '"' in text
+                or text.count("\n") != len(chunk) or "\r" in text):
+            raise ValueError("CSV cell would need quoting")
+        return text
 
     with open_output(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([cell(v) for v in row])
+        fh.write(lines([header]))
+        rows = iter(rows)
+        while chunk := list(itertools.islice(rows, 4096)):
+            text = lines(chunk)
+            if "inf" in text or "nan" in text:
+                for row in chunk:
+                    fh.write(",".join(format_float(v) if type(v) is float
+                                      else str(v) for v in row) + "\n")
+            else:
+                fh.write(text)
 
 
 def read_csv(path: str) -> tuple[list[str], list[list[str]]]:

@@ -12,9 +12,9 @@ B_0 = 0 into the operator exactly, which makes the eigenvalue ratio
 identity at the all-zeros word exact at every finite depth.
 
 Because Lf depends only on k // m, the Perron solve runs on the m^(n-1)
-quotient words. Reversing the letters of a word, R, conjugates the
-adjoint of L to the operator of the reversed potential phi o R, so the
-same solve, run on phi o R, also gives the eigenmeasure nu.
+quotient words. It gives lambda and h; the eigenmeasure nu is never
+solved for, since every entry of L^n is at least e^(n min phi) and that
+bounds nu below through lambda alone (SpectralResult.log_floor).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brownian import BrownianGrid
-from .skorokhod import CylinderFunction, theta_inverse
+from .skorokhod import CylinderFunction
 from .symbolic import Alphabet
 
 # a solve is converged once its Collatz-Wielandt bracket's relative width
@@ -107,11 +107,18 @@ class SpectralResult:
     bracket is the Collatz-Wielandt certificate min(Lh/h) <= lambda <=
     max(Lh/h) of h. iterations and converged are the right solve's; an
     unconverged result's h and bracket are its last iterate's. A lambda
-    past the float64 range is inf, while log_eigenvalue stays finite.
+    past the float64 range is inf, while log_eigenvalue stays finite; so is
+    an entry of h past it.
+
+    log_floor is n (min phi - log lambda_hi), lambda_hi the bracket's top:
+    each entry of L^n is the weight of one n-step path, so at least
+    e^(n min phi), and nu L^n = lambda^n nu, L^n h = lambda^n h put every
+    nu[w] (sum nu = 1) and h[w] / sum(h) above e^(log_floor). It is formed
+    in logs, so it is finite for every converged solve.
 
     spectrum reports lambda, h and the residual; montecarlo's positivity
-    check reads h and eigenmeasure's nu. Callers that read only lambda
-    (pressure, refine-study) use perron_eigenvalue instead.
+    check reads h and log_floor. Callers that read only lambda (pressure,
+    refine-study) use perron_eigenvalue instead.
     """
 
     eigenvalue: float
@@ -121,6 +128,7 @@ class SpectralResult:
     residual: float
     converged: bool
     bracket: tuple[float, float]
+    log_floor: float
 
 
 @dataclass(frozen=True)
@@ -146,11 +154,6 @@ def apply(L: TransferOperator, f: CylinderFunction) -> CylinderFunction:
     if f.level != L.level or f.alphabet != L.alphabet:
         raise ValueError("operator and function live at different levels")
     return CylinderFunction(L.level, L.alphabet, L._apply(f.values))
-
-
-def _reverse(x: np.ndarray, m: int, depth: int) -> np.ndarray:
-    """x o R on depth-letter words, R reversing the letters of a word."""
-    return x.reshape((m,) * depth).transpose().ravel()
 
 
 def _scaled_weights(phi3: np.ndarray, psi: np.ndarray):
@@ -303,7 +306,7 @@ def power_iterate(L: TransferOperator,
     Non-convergence is reported through the converged flag, never raised:
     replica batches must see the failure, not die on it. Callers that read
     only lambda (pressure, refine-study) use perron_eigenvalue, which runs
-    the same core and forms no h or residual; eigenmeasure gives nu.
+    the same core and forms no h or residual.
     """
     m = L.alphabet.m
     logH, c, lo, hi, iters, ok, _ = _perron_core(
@@ -314,7 +317,12 @@ def power_iterate(L: TransferOperator,
     G = logH - logH.max()
     S = L._log_quotient(G)
     residual = float(np.max(np.abs(np.exp(S - llam) - np.exp(G))))
-    h = np.repeat(np.exp(logH - logH[0]), m)
+    # past float64 an entry is inf, as lambda is: the values report it,
+    # not a warning
+    with np.errstate(over="ignore"):
+        h = np.repeat(np.exp(logH - logH[0]), m)
+    # a core that stopped without a finite bracket gets floor -inf
+    log_hi = c + float(np.log(hi)) if hi > 0 else np.inf
     return SpectralResult(
         eigenvalue=lam,
         log_eigenvalue=llam,
@@ -323,25 +331,8 @@ def power_iterate(L: TransferOperator,
         residual=residual,
         converged=ok,
         bracket=bracket,
+        log_floor=L.level * (float(L.potential.phi.min()) - log_hi),
     )
-
-
-def eigenmeasure(L: TransferOperator, max_iters: int = DEFAULT_MAX_ITERS):
-    """(nu, iterations, converged): the eigenmeasure of L as a probability
-    vector, from one run of the quotient core on phi o R.
-
-    Its right vector h' gives nu[k] = exp(phi[k]) h'[R k] / norm. The run
-    stops as power_iterate's does; an unconverged nu is its last iterate's.
-    """
-    m, n = L.alphabet.m, L.level
-    phi = L.potential.phi
-    logH, _, _, _, iters, ok, _ = _perron_core(
-        _reverse(phi, m, n), m, n, max_iters)
-    lnu = phi.reshape(-1, logH.size) + _reverse(logH, m, n - 1)
-    lnu -= lnu.max()
-    nu = np.exp(lnu, out=lnu).ravel()
-    nu /= nu.sum()
-    return nu, iters, ok
 
 
 def ratio_representation(L: TransferOperator, result: SpectralResult,
@@ -360,28 +351,6 @@ def ratio_representation(L: TransferOperator, result: SpectralResult,
     for a in range(1, m):
         total += np.exp(beta * grid.values[a * block]) * h[a * block] / h[0]
     return float(total)
-
-
-def functional_equation_residual(L: TransferOperator, result: SpectralResult,
-                                 grid: BrownianGrid) -> float:
-    """Residual of sum_a exp(beta B_{a/m + t/m}) X_{a/m + t/m} = lambda X_t
-    over the level-(n-1) grid points t, with X = theta_inverse(h), scaled
-    by lambda ||X||_inf.
-
-    Unconverged results leave a visibly large residual; that is the point.
-    """
-    m = L.alphabet.m
-    n = L.level
-    beta = L.potential.beta
-    X = theta_inverse(result.h).right_values
-    block = m ** (n - 1)
-    j = np.arange(block)  # t = j / m^(n-1)
-    lhs = np.zeros(block)
-    for a in range(m):
-        idx = a * block + j  # index of the level-n point a/m + t/m
-        lhs += np.exp(beta * grid.values[idx]) * X[idx]
-    rhs = result.eigenvalue * X[j * m]
-    return float(np.max(np.abs(lhs - rhs)) / (result.eigenvalue * np.max(np.abs(X))))
 
 
 def pathwise_bounds(L: TransferOperator, result: SpectralResult,

@@ -1,18 +1,29 @@
 """Independent reference implementations for the test suite.
 
-Everything here goes through a different route than the code under test:
-the dense matrix is assembled word by word from shift_preimages, on words
-held as letter tuples rather than the base-m indices of src/, spectra
+Nearly everything here goes through a different route than the code under
+test: the dense matrix is assembled word by word from shift_preimages, on
+words held as letter tuples rather than the base-m indices of src/, spectra
 come from numpy's general eigensolver, integrals from scipy quadrature,
 and the Bernoulli variational values from one product-measure reduction
 per p.
+
+Two quantities that no CLI path computes live here too: the eigenmeasure
+nu, from the Perron core run on the reversed potential and checked against
+the dense solve, and the functional-equation residual of h, read through
+theta^-1 and checked against the solve's own residual. CSV bytes come from
+the csv module.
 """
 
+import csv
+import io
 import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from ruelle_rand.skorokhod import theta_inverse
+from ruelle_rand.transfer import DEFAULT_MAX_ITERS, _perron_core
 
 
 def all_words(depth: int, m: int):
@@ -49,6 +60,18 @@ def t_exact(w: tuple, m: int) -> Fraction:
     """t(w . 0^inf) = sum_i w_i m^-i, summed letter by letter."""
     return sum((Fraction(a, m**(i + 1)) for i, a in enumerate(w)),
                start=Fraction(0))
+
+
+def csv_module_bytes(header, rows) -> bytes:
+    """What csv.writer writes for these rows, floats at 17 significant
+    digits and every other cell through str."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([format(v, ".17g") if isinstance(v, float) else str(v)
+                    for v in row])
+    return buf.getvalue().encode("utf-8")
 
 
 def dense_matrix(potential) -> np.ndarray:
@@ -129,3 +152,62 @@ def bernoulli_values(potential, p_grid) -> np.ndarray:
             integral = q @ integral.reshape(m, -1)
         values.append(float(-(q * np.log(q)).sum()) + float(integral[0]))
     return np.array(values)
+
+
+def _reverse(x: np.ndarray, m: int, depth: int) -> np.ndarray:
+    """x o R on depth-letter words, R reversing the letters of a word."""
+    return x.reshape((m,) * depth).transpose().ravel()
+
+
+def eigenmeasure(L, max_iters: int = DEFAULT_MAX_ITERS):
+    """(nu, iterations, converged): the eigenmeasure of L as a probability
+    vector, from one run of the quotient core on phi o R.
+
+    Reversing the letters of a word, R, conjugates the adjoint of L to the
+    operator of the reversed potential phi o R. Its right vector h' gives
+    nu[k] = exp(phi[k]) h'[R k] / norm. The run stops as power_iterate's
+    does; an unconverged nu is its last iterate's.
+    """
+    lnu, iters, ok = _log_eigenmeasure(L, max_iters)
+    nu = np.exp(lnu, out=lnu).ravel()
+    nu /= nu.sum()
+    return nu, iters, ok
+
+
+def _log_eigenmeasure(L, max_iters: int):
+    """log nu + const, with maximum 0, from eigenmeasure's reversed run."""
+    m, n = L.alphabet.m, L.level
+    phi = L.potential.phi
+    logH, _, _, _, iters, ok, _ = _perron_core(
+        _reverse(phi, m, n), m, n, max_iters)
+    lnu = phi.reshape(-1, logH.size) + _reverse(logH, m, n - 1)
+    lnu -= lnu.max()
+    return lnu, iters, ok
+
+
+def log_eigenmeasure(L) -> np.ndarray:
+    """log nu, finite where nu itself underflows (large beta)."""
+    lnu, _, ok = _log_eigenmeasure(L, DEFAULT_MAX_ITERS)
+    assert ok, "reversed solve did not converge"
+    return (lnu - np.log(np.exp(lnu).sum())).ravel()
+
+
+def functional_equation_residual(L, result, grid) -> float:
+    """Residual of sum_a exp(beta B_{a/m + t/m}) X_{a/m + t/m} = lambda X_t
+    over the level-(n-1) grid points t, with X = theta_inverse(h), scaled
+    by lambda ||X||_inf.
+
+    Unconverged results leave a visibly large residual; that is the point.
+    """
+    m = L.alphabet.m
+    n = L.level
+    beta = L.potential.beta
+    X = theta_inverse(result.h).right_values
+    block = m ** (n - 1)
+    j = np.arange(block)  # t = j / m^(n-1)
+    lhs = np.zeros(block)
+    for a in range(m):
+        idx = a * block + j  # index of the level-n point a/m + t/m
+        lhs += np.exp(beta * grid.values[idx]) * X[idx]
+    rhs = result.eigenvalue * X[j * m]
+    return float(np.max(np.abs(lhs - rhs)) / (result.eigenvalue * np.max(np.abs(X))))

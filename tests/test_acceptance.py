@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import dense_perron
+from oracles import dense_perron, eigenmeasure
 from ruelle_rand import brownian
 from ruelle_rand._rng import derive_seed
 from ruelle_rand.cli import dispatch
@@ -26,7 +26,7 @@ from ruelle_rand.report import dumps
 from ruelle_rand.skorokhod import StepFunction, sup_norm, theta, theta_inverse
 from ruelle_rand.symbolic import Alphabet
 from ruelle_rand.transfer import (DEFAULT_TOL, TransferOperator,
-                                  build_potential, eigenmeasure, power_iterate)
+                                  build_potential, power_iterate)
 
 B2 = Alphabet(2)
 

@@ -16,6 +16,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from oracles import csv_module_bytes
 from ruelle_rand import __version__, brownian, cli, montecarlo, report
 from ruelle_rand._rng import derive_seed
 from ruelle_rand.cli import dispatch
@@ -326,6 +327,30 @@ class TestOutputFiles:
                 fh.write(out)
             assert rewritten["b"] == ref.read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        ["sample-path", "--level", "9", "--seed", "4", "--csv"],
+        ["spectrum", "--level", "9", "--alphabet", "3", "--seed", "4",
+         "--emit-eigenfunction"],
+        ["pressure", "--level", "6", "--replicas", "4", "--seed", "4",
+         "--emit-birkhoff"],
+        ["montecarlo", "--level", "6", "--replicas", "16", "--seed", "4",
+         "--csv"],
+    ], ids=["grid", "eigenfunction", "birkhoff", "montecarlo"])
+    def test_csv_bytes_equal_the_csv_module(self, capsys, monkeypatch,
+                                            tmp_path, argv):
+        written = []
+        write = report.write_csv
+
+        def kept(path, header, rows):
+            rows = list(rows)
+            written.append((header, rows))
+            write(path, header, rows)
+        monkeypatch.setattr(report, "write_csv", kept)
+        path = tmp_path / "out.csv"
+        assert run_cli(capsys, *argv, str(path))[0] == 0
+        [(header, rows)] = written
+        assert path.read_bytes() == csv_module_bytes(header, rows)
+
     def test_unwritable_out_leaves_stdout_empty(self, capsys, tmp_path):
         dest = tmp_path / "missing" / "x.json"
         code, out, err = run_cli(capsys, "spectrum", "--level", "3",
@@ -446,6 +471,19 @@ class TestSpectrum:
         [line] = out.stderr.splitlines()
         assert line.startswith("error: ")
         assert "log_lambda = 1339.19" in line and "overflows float64" in line
+
+    def test_h_overflow_is_no_warning(self, capsys):
+        # in process, under the suite's error::RuntimeWarning filter: h spans
+        # past e^709 on this path, and lambda's overflow is the stated reason
+        code, out, err = run_cli(capsys, "spectrum", "--level", "10",
+                                 "--seed", "1", "--beta", "700")
+        assert (code, out) == (1, "")
+        assert err == ("error: lambda = exp(log_lambda) with log_lambda = "
+                       "715.08841394975252 overflows float64\n")
+        code, out, err = run_cli(capsys, "montecarlo", "--level", "6",
+                                 "--replicas", "4", "--beta", "1000")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_beta_warning_with_zero_noise(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--level", "4",
@@ -659,21 +697,22 @@ class TestMontecarlo:
         assert out == ""
         assert err == "error: all replicas failed to converge\n"
 
-    def test_zero_nu_entry_is_a_positivity_violation(self, capsys,
-                                                     monkeypatch):
-        solve = montecarlo.eigenmeasure
+    def test_zero_h_entry_is_a_positivity_violation(self, capsys,
+                                                    monkeypatch):
+        solve = montecarlo.power_iterate
         calls = []
 
-        def zero_first(L, *a):
-            nu, iters, ok = solve(L, *a)
+        def zero_last(L, *a):
+            res = solve(L, *a)
+            h = res.h.values.copy()
             if not calls:
-                nu[0] = 0.0
+                h[-1] = 0.0  # a word no other check reads
             calls.append(1)
-            return nu, iters, ok
+            return replace(res, h=replace(res.h, values=h))
         argv = ("montecarlo", "--level", "6", "--replicas", "3",
                 "--workers", "1")
         assert run_cli(capsys, *argv)[0] == 0  # the unpatched batch passes
-        monkeypatch.setattr(montecarlo, "eigenmeasure", zero_first)
+        monkeypatch.setattr(montecarlo, "power_iterate", zero_last)
         code, out, _ = run_cli(capsys, *argv)
         rep = parse_checked(out)["report"]
         assert len(calls) == 3
@@ -681,6 +720,18 @@ class TestMontecarlo:
                                            "positivity": 1}
         assert rep["bounds_ok"] is False
         assert code == 2
+
+    @pytest.mark.parametrize("beta", ["30", "100"])
+    def test_underflowing_nu_is_no_violation(self, capsys, beta):
+        # entries of nu fall below float64 here; the floor stays finite
+        code, out, _ = run_cli(capsys, "montecarlo", "--level", "10",
+                               "--replicas", "64", "--beta", beta)
+        rep = parse_checked(out)["report"]
+        assert rep["n_failed"] == 0
+        assert rep["bound_violations"]["positivity"] == 0
+        assert rep["positivity_log_floor"] < math.log(sys.float_info.min)
+        assert rep["bounds_ok"] is True
+        assert code == 0
 
     def test_workers_help_names_the_env_var(self, capsys):
         code, out, _ = run_cli(capsys, "montecarlo", "--help")

@@ -19,13 +19,13 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from oracles import dense_matrix, dense_perron, max_cycle_mean
+from oracles import dense_matrix, dense_perron, eigenmeasure, max_cycle_mean
 from test_acceptance import DENSE_LAMBDA_TOL, RATIO_TOL
 from ruelle_rand.brownian import sample
 from ruelle_rand.cli import dispatch
 from ruelle_rand.symbolic import Alphabet
 from ruelle_rand.transfer import (PotentialField, TransferOperator,
-                                  build_potential, eigenmeasure, power_iterate)
+                                  build_potential, power_iterate)
 
 BETAS = (3.0, 10.0, 20.0, 40.0, 100.0)
 # B rounded to this grid keeps every walk sum in Karp's recursion exact

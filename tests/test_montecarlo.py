@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ruelle_rand import brownian, montecarlo
+from ruelle_rand import brownian, transfer
 from ruelle_rand._rng import derive_seed
 from ruelle_rand.montecarlo import (ReplicaConfig, _replica_row, aggregate,
                                     map_replicas, pressure_row,
@@ -13,9 +13,8 @@ from ruelle_rand.montecarlo import (ReplicaConfig, _replica_row, aggregate,
                                     resolve_workers, run, run_replicas,
                                     tightened_upper_check)
 from ruelle_rand.pressure import pressure_sample
-from ruelle_rand.transfer import (DEFAULT_MAX_ITERS, TransferOperator,
-                                  _perron_core, _reverse, build_potential,
-                                  eigenmeasure, power_iterate)
+from ruelle_rand.transfer import (TransferOperator, build_potential,
+                                  power_iterate)
 from ruelle_rand.symbolic import Alphabet
 
 B2 = Alphabet(2)
@@ -25,6 +24,20 @@ B2 = Alphabet(2)
 def healthy_rows():
     cfg = ReplicaConfig(level=10, beta=1.0, master_seed=11, replicas=64)
     return cfg, run_replicas(cfg)
+
+
+@pytest.fixture
+def core_runs(monkeypatch):
+    """Iteration counts of every Perron core run, in call order."""
+    runs = []
+    core = transfer._perron_core
+
+    def counted(*a):
+        out = core(*a)
+        runs.append(out[4])
+        return out
+    monkeypatch.setattr(transfer, "_perron_core", counted)
+    return runs
 
 
 class TestConfig:
@@ -85,41 +98,22 @@ class TestReplicaRow:
         assert row.b1 == float(g.values[-1])
         assert row.m1 >= 0.0 and row.m1 >= row.b1
 
-    def test_failed_right_solve_skips_the_reversed_one(self, monkeypatch):
-        def no_reversed_solve(*a):
-            raise AssertionError("reversed solve after a failed right solve")
-        monkeypatch.setattr(montecarlo, "eigenmeasure", no_reversed_solve)
+    def test_failed_right_solve_skips_the_reversed_one(self, core_runs):
         cfg = ReplicaConfig(level=8, beta=1.0, master_seed=43, max_iters=5)
         row = _replica_row((cfg, 0))
+        assert core_runs == [5]
         assert not row.converged
         assert row.iterations == 5
         assert not row.positive_ok and row.ratio_gap == math.inf
 
-    def test_unconverged_reversed_solve_is_flagged(self):
-        cfg = ReplicaConfig(level=8, beta=1.0, master_seed=5)
-        _, _, L = replica_operator(cfg, 0)
-        phi = L.potential.phi
-        right = _perron_core(phi, 2, 8, DEFAULT_MAX_ITERS)[4]
-        rev = _perron_core(_reverse(phi, 2, 8), 2, 8, DEFAULT_MAX_ITERS)[4]
-        assert right < rev  # this path's reversed solve is the slower one
-        _, iters, ok = eigenmeasure(L, max_iters=right)
-        assert not ok and iters == right
-        row = _replica_row((replace(cfg, max_iters=right), 0))
-        assert not row.converged
-        assert row.iterations == 2 * right
-        assert row.residual <= 1e-11  # the right solve itself converged
-
-    def test_iterations_count_both_solves(self):
+    def test_runs_the_right_core_once(self, core_runs):
         cfg = ReplicaConfig(level=10, beta=1.0, master_seed=45)
         _, _, L = replica_operator(cfg, 0)
-        phi = L.potential.phi
-        counts = [_perron_core(p, 2, 10, DEFAULT_MAX_ITERS)[4]
-                  for p in (phi, _reverse(phi, 2, 10))]
-        assert power_iterate(L).iterations == counts[0]
-        assert eigenmeasure(L)[1:] == (counts[1], True)
+        right = power_iterate(L)
+        del core_runs[:]
         row = _replica_row((cfg, 0))
-        assert row.converged
-        assert row.iterations == sum(counts)
+        assert core_runs == [right.iterations]
+        assert row.converged and row.iterations == right.iterations
 
 
 class TestPressureRow:
@@ -182,6 +176,8 @@ class TestAggregate:
         assert rep.n_failed == 0
         assert rep.bound_violations == {"lower": 0, "upper": 0, "positivity": 0}
         assert all(r.ratio_gap <= 1e-10 for r in rows)
+        assert all(r.positive_ok and math.isfinite(r.log_floor) for r in rows)
+        assert rep.positivity_log_floor == min(r.log_floor for r in rows)
         q = rep.quantiles
         assert q["q01"] <= q["q50"] <= q["q99"]
         assert math.exp(0.5) <= rep.mean_lambda <= 4 * math.exp(0.5)

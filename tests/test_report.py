@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from oracles import csv_module_bytes
 from ruelle_rand import report
 
 OLD = "old bytes that run past the new end\n" * 4096
@@ -75,3 +76,25 @@ def test_pipe_is_written_not_truncated():
             fh.write("through a pipe\n")
         writer.close()
         assert reader.read() == b"through a pipe\n"
+
+
+def test_csv_bytes_across_chunks_and_cell_types(tmp_path):
+    # more rows than one write; "nan" in a str cell is no number
+    rows = [(k, ("nan", "7", "0x")[k % 3], float(v))
+            for k, v in enumerate((-0.0, 5e-324, 0.1, -1e300, 2.5, 1e16))]
+    rows *= 2000
+    path = tmp_path / "out.csv"
+    report.write_csv(str(path), ["k", "word", "x"], rows)
+    assert path.read_bytes() == csv_module_bytes(["k", "word", "x"], rows)
+
+
+@pytest.mark.parametrize("header,row,error", [
+    (["w"], ("a,b",), ValueError), (["w"], ('say "x"',), ValueError),
+    (["w"], ("two\nlines",), ValueError), (["w"], ("\r",), ValueError),
+    (["w", "x"], (1,), ValueError), (["w"], (True,), KeyError),
+    (["w"], (None,), KeyError),
+])
+def test_cell_csv_would_quote_or_cannot_write_is_refused(tmp_path, header,
+                                                          row, error):
+    with pytest.raises(error):
+        report.write_csv(str(tmp_path / "out.csv"), header, [row])

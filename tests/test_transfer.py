@@ -4,18 +4,17 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import dense_matrix, dense_perron
+from oracles import (_reverse, dense_matrix, dense_perron, eigenmeasure,
+                     functional_equation_residual, log_eigenmeasure)
 from ruelle_rand import transfer
 from ruelle_rand.brownian import sample
 from ruelle_rand.skorokhod import CylinderFunction
 from ruelle_rand.symbolic import Alphabet
 from ruelle_rand.transfer import (DEFAULT_MAX_ITERS, DEFAULT_TOL,
                                   PotentialField, TransferOperator,
-                                  _perron_core, _reverse, apply,
-                                  build_potential, eigenmeasure,
-                                  functional_equation_residual, pathwise_bounds,
-                                  perron_eigenvalue, power_iterate,
-                                  ratio_representation)
+                                  _perron_core, apply, build_potential,
+                                  pathwise_bounds, perron_eigenvalue,
+                                  power_iterate, ratio_representation)
 
 B2 = Alphabet(2)
 B3 = Alphabet(3)
@@ -275,6 +274,38 @@ class TestPowerIterate:
         assert power_iterate(L).eigenvalue <= power_iterate(bigger).eigenvalue
 
 
+class TestLogFloor:
+    # the dense eigensolver fits in a few seconds up to 729 words, and its nu
+    # is read only at beta <= 3, where no entry falls below its rounding;
+    # elsewhere log nu comes from the reversed solve run in logs
+    @pytest.mark.parametrize("m,n,beta", [(2, 8, 1.0), (2, 12, 1.0),
+                                          (3, 6, 3.0), (2, 10, 30.0)])
+    def test_below_log_nu(self, m, n, beta):
+        for seed in range(4):
+            L, _ = seeded_op(n, seed, beta, Alphabet(m))
+            r = power_iterate(L)
+            assert r.converged
+            phi = L.potential.phi
+            assert r.log_floor == pytest.approx(
+                n * (phi.min() - math.log(r.bracket[1])), rel=1e-13)
+            log_nu = log_eigenmeasure(L)
+            assert r.log_floor < log_nu.min()
+            assert r.log_floor < np.log(r.h.values / r.h.values.sum()).min()
+            if m**n <= 729:
+                nu = dense_perron(L.potential)[2]
+                assert np.abs(np.exp(log_nu) - nu).sum() <= 1e-9
+                assert r.log_floor < np.log(nu.min())
+
+    def test_finite_where_lambda_overflows(self):
+        # lambda and the bracket are inf here; the floor is formed in logs
+        L, _ = seeded_op(10, 1, beta=700.0)
+        r = power_iterate(L)
+        assert math.isinf(r.eigenvalue) and math.isinf(r.bracket[1])
+        assert math.isfinite(r.log_floor)
+        assert r.log_floor <= L.level * (L.potential.phi.min()
+                                         - r.log_eigenvalue)
+
+
 class TestShift:
     def test_never_engages_at_unit_beta(self):
         # beta = 1 converges on the plain power step; a stall trigger that
@@ -430,6 +461,24 @@ class TestFunctionalEquation:
         L, g = seeded_op(8, 114)
         r = power_iterate(L, max_iters=1)
         assert functional_equation_residual(L, r, g) > DEFAULT_TOL
+
+    def test_agrees_with_the_solve_residual(self):
+        # the same eigen-equation on the quotient words: equal to rounding
+        # after 3 applications, and within a few percent at the roundoff
+        # level a converged solve leaves
+        for m, levels in ((2, range(2, 9)), (3, range(2, 6)), (5, (2, 3, 4))):
+            for n in levels:
+                for beta in (0.5, 1.0, 3.0, 10.0):
+                    for seed in range(3):
+                        L, g = seeded_op(n, seed, beta, Alphabet(m))
+                        early = power_iterate(L, max_iters=3)
+                        assert functional_equation_residual(L, early, g) == \
+                            pytest.approx(early.residual, rel=1e-9)
+                        r = power_iterate(L)
+                        assert r.converged
+                        gap = math.log(functional_equation_residual(L, r, g)
+                                       / r.residual)
+                        assert abs(gap) <= 0.05, (m, n, beta, seed)
 
 
 class TestPathwiseBounds:
