@@ -13,9 +13,12 @@ from ruelle_rand.montecarlo import (ReplicaConfig, _replica_row, aggregate,
                                     resolve_workers, run, run_replicas,
                                     tightened_upper_check)
 from ruelle_rand.pressure import pressure_sample
-from ruelle_rand.transfer import (TransferOperator, build_potential,
+from ruelle_rand.transfer import (DEFAULT_MAX_ITERS, TransferOperator,
+                                  _perron_core, build_potential,
                                   power_iterate)
 from ruelle_rand.symbolic import Alphabet
+
+from oracles import _reverse, eigenmeasure
 
 B2 = Alphabet(2)
 
@@ -106,14 +109,35 @@ class TestReplicaRow:
         assert row.iterations == 5
         assert not row.positive_ok and row.ratio_gap == math.inf
 
-    def test_runs_the_right_core_once(self, core_runs):
+    def test_unconverged_reversed_solve_is_flagged(self):
+        # The reversed solve (nu) flags its own stop; rows no longer run it,
+        # so a budget only the right solve meets leaves the row converged.
+        cfg = ReplicaConfig(level=8, beta=1.0, master_seed=5)
+        _, _, L = replica_operator(cfg, 0)
+        phi = L.potential.phi
+        right = _perron_core(phi, 2, 8, DEFAULT_MAX_ITERS)[4]
+        rev = _perron_core(_reverse(phi, 2, 8), 2, 8, DEFAULT_MAX_ITERS)[4]
+        assert right < rev  # this path's reversed solve is the slower one
+        _, iters, ok = eigenmeasure(L, max_iters=right)
+        assert not ok and iters == right
+        row = _replica_row((replace(cfg, max_iters=right), 0))
+        assert row.converged
+        assert row.iterations == right
+        assert row.residual <= 1e-11
+
+    def test_iterations_count_both_solves(self, core_runs):
+        # Each solve counts its own core run; a row runs the right one once.
         cfg = ReplicaConfig(level=10, beta=1.0, master_seed=45)
         _, _, L = replica_operator(cfg, 0)
-        right = power_iterate(L)
+        phi = L.potential.phi
+        counts = [_perron_core(p, 2, 10, DEFAULT_MAX_ITERS)[4]
+                  for p in (phi, _reverse(phi, 2, 10))]
+        assert power_iterate(L).iterations == counts[0]
+        assert eigenmeasure(L)[1:] == (counts[1], True)
         del core_runs[:]
         row = _replica_row((cfg, 0))
-        assert core_runs == [right.iterations]
-        assert row.converged and row.iterations == right.iterations
+        assert core_runs == [counts[0]]
+        assert row.converged and row.iterations == counts[0]
 
 
 class TestPressureRow:
