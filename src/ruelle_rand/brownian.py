@@ -19,7 +19,7 @@ from .symbolic import Alphabet
 
 
 # largest grid sample() and refine() build, in cells m^level: 128 MiB a
-# vector, of which a level-24 binary solve holds several
+# vector, of which a level-24 binary spectrum holds about three at its peak
 MAX_CELLS = 2**24
 
 # exponent of every Holder constant the package reports or bounds with;
@@ -72,7 +72,12 @@ def _fill_level(old: np.ndarray, level: int, m: int,
                 stream: np.random.Generator | None) -> np.ndarray:
     """Bridge-fill the interior points taking level -> level + 1, with
     innovations drawn from stream, the stream of level + 1 (None for zero
-    noise)."""
+    noise).
+
+    Each interior point is prev + (delta / gap) (right - prev) + sd z,
+    evaluated in that order straight into its slot of the new grid, so the
+    only temporary is the innovation block z.
+    """
     K = m**level
     span = float(m) ** (-level)
     delta = span / m
@@ -87,8 +92,13 @@ def _fill_level(old: np.ndarray, level: int, m: int,
     for j in range(1, m):
         gap = (m - j + 1) * delta
         sd = math.sqrt(delta * (gap - delta) / gap)
-        cur = prev + (delta / gap) * (right - prev) + sd * z[:, j - 1]
-        new[j::m] = cur
+        cur = new[j::m]
+        np.subtract(right, prev, out=cur)
+        np.multiply(cur, delta / gap, out=cur)
+        np.add(prev, cur, out=cur)
+        zj = z[:, j - 1]
+        zj *= sd
+        np.add(cur, zj, out=cur)
         prev = cur
     return new
 

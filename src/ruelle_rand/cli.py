@@ -28,8 +28,8 @@ from . import __version__, brownian, report
 from ._rng import derive_seed, level_stream
 from .skorokhod import StepFunction, sup_norm, theta, theta_inverse
 from .symbolic import Alphabet
-from .transfer import (TransferOperator, build_potential, pathwise_bounds,
-                       power_iterate, ratio_representation)
+from .transfer import (TransferOperator, build_potential, lambda_overflow,
+                       pathwise_bounds, power_iterate, ratio_representation)
 
 _USAGE_EXIT = 1
 _VIOLATION_EXIT = 2
@@ -137,15 +137,17 @@ def _cmd_spectrum(args) -> int:
     if args.emit_eigenfunction and m > 10:
         # refused before the solve: the word column has one digit per letter
         raise ValueError("digit serialization defined for m <= 10")
+    # the grid is read for its maximum and phi, then let go before the solve
     grid = brownian.sample(n, alphabet, args.seed, zero_noise=args.zero_noise)
+    m1 = float(np.max(grid.values))
     L = TransferOperator(build_potential(grid, beta))
+    del grid
     res = power_iterate(L)
     if math.isinf(res.eigenvalue):
-        raise ValueError(f"lambda = exp(log_lambda) with log_lambda = "
-                         f"{res.log_eigenvalue:.17g} overflows float64")
-    ratio = ratio_representation(L, res, grid)
+        raise ValueError(lambda_overflow(res.log_eigenvalue))
+    ratio = ratio_representation(L, res)
     gap = abs(ratio - res.eigenvalue) / res.eigenvalue
-    bounds = pathwise_bounds(L, res, grid)
+    bounds = pathwise_bounds(L, res, m1)
     if args.emit_eigenfunction:
         # row k: the depth-n word of index k in base-m digits, t = k / m^n
         rows = ((w.decode(), k / m**n, float(h))

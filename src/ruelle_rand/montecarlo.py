@@ -24,8 +24,8 @@ from ._rng import derive_seed
 from .pressure import PressureSample, mean_stderr, pressure_sample
 from .symbolic import Alphabet
 from .transfer import (DEFAULT_MAX_ITERS, TransferOperator,
-                       build_potential, pathwise_bounds, perron_eigenvalue,
-                       power_iterate, ratio_representation)
+                       build_potential, lambda_overflow, pathwise_bounds,
+                       perron_eigenvalue, power_iterate, ratio_representation)
 
 WORKERS_ENV = "RUELLE_RAND_WORKERS"
 
@@ -94,7 +94,11 @@ def resolve_workers(workers: int | None = None) -> int:
     """Explicit argument, else the RUELLE_RAND_WORKERS env var, else 1."""
     if workers is None:
         env = os.environ.get(WORKERS_ENV, "").strip()
-        workers = int(env) if env else 1
+        try:
+            workers = int(env) if env else 1
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV}={env!r} is not an integer "
+                             f"worker count") from None
     if workers < 1:
         raise ValueError("workers must be >= 1")
     return workers
@@ -102,17 +106,27 @@ def resolve_workers(workers: int | None = None) -> int:
 
 def map_replicas(fn, config: ReplicaConfig, workers: int | None = None) -> list:
     """[fn((config, i)) for every replica index i], in index order for any
-    worker count. The only replica loop: every batch runs through it."""
+    worker count. The only replica loop: every batch runs through it.
+
+    The parent is one of the workers: it maps the first ceil(R / workers)
+    indices itself while a fork pool of at most workers - 1 children maps
+    the rest, forked before the parent computes anything.
+    """
     workers = resolve_workers(workers)
     args = [(config, i) for i in range(config.replicas)]
-    if workers == 1:
+    own = -(-len(args) // workers)
+    if own >= len(args):
         return [fn(a) for a in args]
     # imported here so a serial run never loads multiprocessing
     from multiprocessing import get_context
 
-    chunk = max(1, config.replicas // (4 * workers))
-    with get_context("fork").Pool(workers) as pool:
-        return pool.map(fn, args, chunksize=chunk)
+    rest = args[own:]
+    children = min(workers - 1, len(rest))
+    chunk = max(1, len(rest) // (4 * children))
+    with get_context("fork").Pool(children) as pool:
+        pending = pool.map_async(fn, rest, chunksize=chunk)
+        rows = [fn(a) for a in args[:own]]
+        return rows + pending.get()
 
 
 def replica_operator(config: ReplicaConfig, i: int):
@@ -125,13 +139,14 @@ def replica_operator(config: ReplicaConfig, i: int):
 def _replica_row(arg: tuple[ReplicaConfig, int]) -> ReplicaRow:
     config, i = arg
     seed, grid, L = replica_operator(config, i)
+    m1 = float(np.max(grid.values))
     res = power_iterate(L, config.max_iters)
     if res.converged:
-        bounds = pathwise_bounds(L, res, grid)
+        bounds = pathwise_bounds(L, res, m1)
         # h > 0 as computed, and nu > 0 certified by lambda's bracket alone
         positive = bool(np.all(res.h.values > 0)
                         and math.isfinite(res.log_floor))
-        ratio = ratio_representation(L, res, grid)
+        ratio = ratio_representation(L, res)
         ratio_gap = abs(ratio - res.eigenvalue) / res.eigenvalue
     else:
         bounds = {"lower_ok": False, "upper_ok": False}
@@ -142,7 +157,7 @@ def _replica_row(arg: tuple[ReplicaConfig, int]) -> ReplicaRow:
         seed=seed,
         eigenvalue=res.eigenvalue,
         log_eigenvalue=res.log_eigenvalue,
-        m1=float(np.max(grid.values)),
+        m1=m1,
         b1=float(grid.values[-1]),
         iterations=res.iterations,
         residual=res.residual,
@@ -174,10 +189,15 @@ def run_replicas(config: ReplicaConfig, workers: int | None = None) -> list[Repl
 def aggregate(config: ReplicaConfig, rows: list[ReplicaRow],
               wall_time: float) -> McReport | None:
     """The batch's report over its converged rows, or None when no replica
-    converged."""
+    converged. A converged row whose lambda is past float64 is refused
+    (ValueError), as spectrum refuses one."""
     good = [r for r in rows if r.converged]
     if not good:
         return None
+    for r in good:
+        if math.isinf(r.eigenvalue):
+            raise ValueError(f"replica {r.index} (seed {r.seed}): "
+                             f"{lambda_overflow(r.log_eigenvalue)}")
     lams = np.array([r.eigenvalue for r in good])
     mean_lambda, stderr_lambda = mean_stderr(lams)
     mean_log, stderr_log = mean_stderr(np.array([r.log_eigenvalue for r in good]))

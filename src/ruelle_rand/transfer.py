@@ -84,19 +84,14 @@ class TransferOperator:
         G = np.exp(self.potential.phi) * f
         return np.repeat(G.reshape(m, -1).sum(axis=0), m)
 
-    def _log_quotient(self, g: np.ndarray) -> np.ndarray:
-        # log (L e^g) on the m^(n-1) quotient words: the log-sum-exp over the
-        # m preimage terms of phi + g, in place on the one depth-n temporary.
-        # g is a depth-n vector, or a quotient vector G that stands for
-        # repeat(G, m) without forming it
-        phi = self.potential.phi
-        A = (phi.reshape(g.size, -1) + g[:, None]).reshape(self.alphabet.m, -1)
+    def _apply_log(self, g: np.ndarray) -> np.ndarray:
+        # log (L e^g) for a depth-n g: the log-sum-exp over the m preimage
+        # terms of phi + g, in place on the one depth-n temporary
+        A = (self.potential.phi + g).reshape(self.alphabet.m, -1)
         amax = A.max(axis=0)
         A -= amax
-        return amax + np.log(np.exp(A, out=A).sum(axis=0))
-
-    def _apply_log(self, g: np.ndarray) -> np.ndarray:
-        return np.repeat(self._log_quotient(g), self.alphabet.m)
+        return np.repeat(amax + np.log(np.exp(A, out=A).sum(axis=0)),
+                         self.alphabet.m)
 
 
 @dataclass(frozen=True)
@@ -156,19 +151,27 @@ def apply(L: TransferOperator, f: CylinderFunction) -> CylinderFunction:
     return CylinderFunction(L.level, L.alphabet, L._apply(f.values))
 
 
-def _scaled_weights(phi3: np.ndarray, psi: np.ndarray):
+def _scaled_weights(phi3: np.ndarray, psi: np.ndarray | None):
     """(W, c) with W[a, b, j] = exp(phi[a j b] + psi[a j] - psi[j b] - c) and
-    c the largest exponent, so W <= 1 for every potential. The last letter b
-    comes before j so that the contraction over a runs along j."""
+    c the largest exponent, so W <= 1 for every potential. psi None stands
+    for psi = 0, before the first fold. The last letter b comes before j so
+    that the contraction over a runs along j."""
     m, inner, last = phi3.shape
-    E = np.empty((m, last, inner))
-    np.add(phi3.transpose(0, 2, 1),
-           np.broadcast_to(psi.reshape(-1, inner), (m, inner))[:, None, :],
-           out=E)
-    E -= psi.reshape(inner, last).T
+    E = phi3.transpose(0, 2, 1).copy()
+    if psi is not None:
+        E += np.broadcast_to(psi.reshape(-1, inner), (m, inner))[:, None, :]
+        E -= psi.reshape(inner, last).T
     c = float(E.max())
     E -= c
     return np.exp(E, out=E), c
+
+
+def _by_head(phi: np.ndarray, m: int, n: int) -> np.ndarray:
+    """phi as phi3[a, j, b] = phi[a j b]: first letter a, quotient head j
+    (the m^(n-2) middle words), last letter b. Depth 1 has one empty head
+    and no last letter."""
+    inner, last = (m ** (n - 2), m) if n > 1 else (1, 1)
+    return phi.reshape(m, inner, last)
 
 
 def _plans(W: np.ndarray, F: np.ndarray, S: np.ndarray):
@@ -215,11 +218,11 @@ def _perron_core(phi: np.ndarray, m: int, n: int, max_iters: int):
     quotient eigenvector, e^c lo <= lambda <= e^c hi its bracket, and
     shift_at the iteration the shifted update began at (None if never).
     """
-    inner, last = (m ** (n - 2), m) if n > 1 else (1, 1)
-    phi3 = phi.reshape(m, inner, last)
-    psi = np.zeros(inner * last)
+    phi3 = _by_head(phi, m, n)
+    _, inner, last = phi3.shape
+    psi = None  # the folded logs, allocated at the first fold
     W, c = _scaled_weights(phi3, psi)
-    F, S = np.ones(psi.size), np.empty(psi.size)
+    F, S = np.ones(inner * last), np.empty(inner * last)
     plan, other = _plans(W, F, S)
     floor = top = 1.0  # bounds on min F and max F
     widths = []
@@ -248,7 +251,9 @@ def _perron_core(phi: np.ndarray, m: int, n: int, max_iters: int):
                 and width > 0.5 * widths[-1 - _STALL_WINDOW]):
             shift_at = it
         if shift_at is not None:
-            S += lo * F
+            # S += lo F, through the block ratio buffers
+            for *_, s, f, r in plan:
+                s += np.multiply(f, lo, out=r)
             floor, top = floor * 2 * lo, top * (hi + lo)
         else:
             floor, top = floor * lo, top * hi
@@ -257,16 +262,30 @@ def _perron_core(phi: np.ndarray, m: int, n: int, max_iters: int):
         if floor * _FOLD_RANGE < 1.0 or top > _FOLD_RANGE:
             fmin, fmax = float(F.min()), float(F.max())
             if fmin * _FOLD_RANGE < fmax:
-                psi += np.log(F)
+                if psi is None:
+                    psi = np.log(F)
+                else:
+                    psi += np.log(F, out=F)
+                F.fill(1.0)
+                # the old weights go before the new ones are built
+                W = w = plan = other = None
                 W, c = _scaled_weights(phi3, psi)
                 plan, other = _plans(W, F, S)
-                F.fill(1.0)
                 floor = 1.0
             else:
                 F /= fmax
                 floor = fmin / fmax
             top = 1.0
-    return psi + np.log(F), c, lo, hi, it, converged, shift_at
+    log_f = np.log(F, out=F)
+    if psi is not None:
+        log_f += psi
+    return log_f, c, lo, hi, it, converged, shift_at
+
+
+def lambda_overflow(log_lambda: float) -> str:
+    """Why a lambda past float64 cannot be reported."""
+    return (f"lambda = exp(log_lambda) with log_lambda = {log_lambda:.17g} "
+            f"overflows float64")
 
 
 def _eigenvalue(c: float, lo: float, hi: float):
@@ -312,15 +331,12 @@ def power_iterate(L: TransferOperator,
     logH, c, lo, hi, iters, ok, _ = _perron_core(
         L.potential.phi, m, L.level, max_iters)
     lam, llam, bracket = _eigenvalue(c, lo, hi)
-    # residual max|Lh - lam h| / (lam ||h||_inf), formed on h / ||h||_inf
-    # so that extreme beta cannot overflow; S is log Lh on the quotient words
-    G = logH - logH.max()
-    S = L._log_quotient(G)
-    residual = float(np.max(np.abs(np.exp(S - llam) - np.exp(G))))
-    # past float64 an entry is inf, as lambda is: the values report it,
-    # not a warning
+    residual = _residual(L, logH, llam)
+    # h = exp(logH - logH[0]) in logH's own buffer; past float64 an entry
+    # is inf, as lambda is: the values report it, not a warning
+    logH -= logH[0]
     with np.errstate(over="ignore"):
-        h = np.repeat(np.exp(logH - logH[0]), m)
+        h = np.repeat(np.exp(logH, out=logH), m)
     # a core that stopped without a finite bracket gets floor -inf
     log_hi = c + float(np.log(hi)) if hi > 0 else np.inf
     return SpectralResult(
@@ -335,29 +351,66 @@ def power_iterate(L: TransferOperator,
     )
 
 
-def ratio_representation(L: TransferOperator, result: SpectralResult,
-                         grid: BrownianGrid) -> float:
+def _residual(L: TransferOperator, logH: np.ndarray, llam: float) -> float:
+    """max|Lh - lam h| / (lam ||h||_inf) for the quotient eigenvector
+    H = exp(logH), formed on h / ||h||_inf so that extreme beta cannot
+    overflow.
+
+    With G = logH - max logH, log (L e^G)[j b] is the log-sum-exp over a of
+    phi[a j b] + G[a j]. It runs block by block over _BLOCK_HEADS heads j,
+    so its temporaries are block-sized once a solve spans several blocks;
+    each entry is the same floating-point operations as on the whole
+    vector.
+    """
+    phi3 = _by_head(L.potential.phi, L.alphabet.m, L.level)
+    m, inner, last = phi3.shape
+    top = logH.max()
+    heads = np.broadcast_to(logH.reshape(-1, inner), (m, inner))
+    quotient = logH.reshape(inner, last)
+    block = min(_BLOCK_HEADS, inner)
+    buf = np.empty(m * block * last)
+    worst = []
+    for j0 in range(0, inner, block):
+        j1 = min(j0 + block, inner)
+        A = buf[:m * (j1 - j0) * last].reshape(m, j1 - j0, last)
+        np.add(phi3[:, j0:j1], (heads[:, j0:j1] - top)[:, :, None], out=A)
+        amax = A.max(axis=0)
+        A -= amax
+        S = np.exp(A, out=A).sum(axis=0)
+        np.log(S, out=S)
+        S += amax
+        S -= llam
+        np.exp(S, out=S)
+        G = np.subtract(quotient[j0:j1], top, out=amax)
+        S -= np.exp(G, out=G)
+        worst.append(np.abs(S, out=S).max())
+    # a NaN block wins, as in one max over the whole vector
+    return float(np.max(worst))
+
+
+def ratio_representation(L: TransferOperator, result: SpectralResult) -> float:
     """1 + sum_{a>0} exp(beta B_{a/m}) h[a 0^{n-1}] / h[0^n].
 
     This is the eigen-equation at the all-zeros word, so it reproduces the
     eigenvalue exactly up to the iteration tolerance at every finite depth.
+    beta B_{a/m} is phi[a 0^{n-1}], the same product build_potential forms.
     """
     m = L.alphabet.m
-    n = L.level
-    beta = L.potential.beta
+    phi = L.potential.phi
     h = result.h.values
-    block = m ** (n - 1)
+    block = m ** (L.level - 1)
     total = 1.0
     for a in range(1, m):
-        total += np.exp(beta * grid.values[a * block]) * h[a * block] / h[0]
+        total += np.exp(phi[a * block]) * h[a * block] / h[0]
     return float(total)
 
 
 def pathwise_bounds(L: TransferOperator, result: SpectralResult,
-                    grid: BrownianGrid) -> dict:
-    """Sandwich for the discrete eigenvalue on one path:
+                    m1: float) -> dict:
+    """Sandwich for the discrete eigenvalue on one path, m1 = max B on the
+    grid:
 
-      max diagonal entry  <=  lambda  <=  m * exp(beta * max grid value).
+      max diagonal entry  <=  lambda  <=  m * exp(beta * m1).
 
     The diagonal entries sit at the constant words a^n. Checks carry a
     1e-12 relative slack so exact-equality cases (zero noise) stay true
@@ -366,12 +419,11 @@ def pathwise_bounds(L: TransferOperator, result: SpectralResult,
     """
     m = L.alphabet.m
     n = L.level
-    beta = L.potential.beta
     lam = result.eigenvalue
     with np.errstate(over="ignore"):
         diag = max(float(np.exp(L.potential.phi[a * (m**n - 1) // (m - 1)]))
                    for a in range(m))
-        upper = m * np.exp(beta * float(np.max(grid.values)))
+        upper = m * np.exp(L.potential.beta * m1)
     return {
         "lower_ok": bool(lam >= diag * (1.0 - 1e-12)),
         "upper_ok": bool(lam <= upper * (1.0 + 1e-12)),

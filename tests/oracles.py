@@ -11,19 +11,34 @@ Two quantities that no CLI path computes live here too: the eigenmeasure
 nu, from the Perron core run on the reversed potential and checked against
 the dense solve, and the functional-equation residual of h, read through
 theta^-1 and checked against the solve's own residual. CSV bytes come from
-the csv module.
+the csv module. Memory peaks come from tracemalloc.
 """
 
 import csv
 import io
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 
 from ruelle_rand.skorokhod import theta_inverse
 from ruelle_rand.transfer import DEFAULT_MAX_ITERS, _perron_core
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes traced during the call above those traced
+    at its start). Warm fn up first: a first call also allocates module
+    state."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak - start
 
 
 def all_words(depth: int, m: int):

@@ -10,6 +10,8 @@ from ruelle_rand._rng import derive_seed, level_stream, rekey
 from ruelle_rand.brownian import BrownianGrid, refine, sample, stats
 from ruelle_rand.symbolic import Alphabet
 
+from oracles import traced_peak
+
 B2 = Alphabet(2)
 B3 = Alphabet(3)
 
@@ -18,6 +20,18 @@ B3 = Alphabet(3)
 # covered by the allowance below
 EXP_M1 = 2 * math.exp(0.5) * 0.5 * (1 + math.erf(1 / math.sqrt(2)))
 GRID_MAX_ALLOWANCE = 0.04
+
+
+class TestMemory:
+    @pytest.mark.parametrize("alphabet,level", [(B2, 16), (B3, 10)])
+    def test_sample_holds_one_vector_besides_its_result(self, alphabet,
+                                                        level):
+        # the last level holds the previous grid and its innovations, one
+        # depth-n vector between them, and no temporary of its own
+        sample(4, alphabet, seed=1)
+        g, peak = traced_peak(sample, level, alphabet, 0)
+        vector = 8 * alphabet.m**level
+        assert peak - g.values.nbytes <= 1.5 * vector
 
 
 class TestShape:

@@ -745,6 +745,25 @@ class TestMontecarlo:
         assert code == 1
         assert "error" in err
 
+    def test_non_integer_workers_env_names_the_variable(self, capsys,
+                                                        monkeypatch):
+        monkeypatch.setenv("RUELLE_RAND_WORKERS", "abc")
+        code, out, err = run_cli(capsys, "montecarlo", "--level", "4",
+                                 "--replicas", "2")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: RUELLE_RAND_WORKERS='abc' ")
+        assert "invalid literal" not in err
+
+    def test_overflowing_lambda_names_log_lambda(self, capsys):
+        # in process, under the suite's error::RuntimeWarning filter: no
+        # mean, stderr or quantile is taken over an infinite lambda
+        code, out, err = run_cli(capsys, "montecarlo", "--level", "8",
+                                 "--replicas", "16", "--beta", "700")
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: replica ")
+        assert "log_lambda = " in line and line.endswith("overflows float64")
+
 
 class TestRefineStudy:
     def test_two_level_study(self, capsys):

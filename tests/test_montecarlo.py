@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -21,6 +22,12 @@ from ruelle_rand.symbolic import Alphabet
 from oracles import _reverse, eigenmeasure
 
 B2 = Alphabet(2)
+
+
+def _pid_row(arg):
+    """The process that mapped the replica (module level, so a pool can
+    run it)."""
+    return os.getpid()
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +86,11 @@ class TestResolveWorkers:
     def test_blank_env_ignored(self, monkeypatch):
         monkeypatch.setenv("RUELLE_RAND_WORKERS", "  ")
         assert resolve_workers() == 1
+
+    def test_non_integer_env_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("RUELLE_RAND_WORKERS", "abc")
+        with pytest.raises(ValueError, match="RUELLE_RAND_WORKERS='abc'"):
+            resolve_workers()
 
 
 class TestReplicaRow:
@@ -159,10 +171,25 @@ class TestPressureRow:
 
 class TestDeterminism:
     def test_rows_independent_of_workers(self):
-        cfg = ReplicaConfig(level=8, beta=1.0, master_seed=7, replicas=16)
-        serial = run_replicas(cfg, workers=1)
-        for w in (2, 4):
-            assert run_replicas(cfg, workers=w) == serial
+        # batches smaller than, equal to and larger than the worker count:
+        # the parent's share and the children's rejoin in index order
+        for replicas in (1, 2, 7, 16):
+            cfg = ReplicaConfig(level=8, beta=1.0, master_seed=7,
+                                replicas=replicas)
+            serial = run_replicas(cfg, workers=1)
+            assert [r.index for r in serial] == list(range(replicas))
+            for w in (2, 3, 4):
+                assert run_replicas(cfg, workers=w) == serial, (replicas, w)
+
+    @pytest.mark.parametrize("replicas,workers", [(7, 2), (7, 3), (2, 3),
+                                                  (1, 3)])
+    def test_parent_is_one_of_the_workers(self, replicas, workers):
+        cfg = ReplicaConfig(level=4, replicas=replicas)
+        pids = map_replicas(_pid_row, cfg, workers)
+        assert len(pids) == replicas
+        # the parent maps the first share of indices itself
+        assert pids[0] == os.getpid()
+        assert len(set(pids)) <= min(workers, replicas)
 
     def test_report_independent_of_workers(self):
         cfg = ReplicaConfig(level=8, beta=1.0, master_seed=7, replicas=16)
@@ -213,6 +240,17 @@ class TestAggregate:
                             max_iters=1)
         rows, rep = run(cfg)
         assert len(rows) == 4 and rep is None
+
+    def test_overflowing_lambda_is_refused(self):
+        # beta 700: converged rows whose lambda is past float64 are refused
+        # before any mean or quantile is taken over them
+        cfg = ReplicaConfig(level=8, beta=700.0, master_seed=0, replicas=16)
+        rows = run_replicas(cfg)
+        bad = [r for r in rows if r.converged and math.isinf(r.eigenvalue)]
+        assert bad
+        with pytest.raises(ValueError, match=(
+                f"replica {bad[0].index} .*log_lambda = .* overflows float64")):
+            aggregate(cfg, rows, 0.0)
 
     def test_wall_time_passthrough(self, healthy_rows):
         cfg, rows = healthy_rows
