@@ -174,6 +174,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_isometry_check(args) -> int:
+    if args.trials < 1:
+        raise ValueError("trials must be >= 1")
     alphabet = _alphabet(args)
     m, n = alphabet.m, args.level
     brownian.check_cells(n, alphabet)

@@ -25,7 +25,7 @@ from .pressure import PressureSample, mean_stderr, pressure_sample
 from .symbolic import Alphabet
 from .transfer import (DEFAULT_MAX_ITERS, TransferOperator,
                        build_potential, lambda_overflow, pathwise_bounds,
-                       perron_eigenvalue, power_iterate, ratio_representation)
+                       power_iterate, ratio_representation)
 
 WORKERS_ENV = "RUELLE_RAND_WORKERS"
 
@@ -146,8 +146,10 @@ def _replica_row(arg: tuple[ReplicaConfig, int]) -> ReplicaRow:
         # h > 0 as computed, and nu > 0 certified by lambda's bracket alone
         positive = bool(np.all(res.h.values > 0)
                         and math.isfinite(res.log_floor))
-        ratio = ratio_representation(L, res)
-        ratio_gap = abs(ratio - res.eigenvalue) / res.eigenvalue
+        ratio_gap = math.inf  # lambda past float64: aggregate refuses it
+        if math.isfinite(res.eigenvalue):
+            ratio = ratio_representation(L, res)
+            ratio_gap = abs(ratio - res.eigenvalue) / res.eigenvalue
     else:
         bounds = {"lower_ok": False, "upper_ok": False}
         positive = False
@@ -172,10 +174,10 @@ def _replica_row(arg: tuple[ReplicaConfig, int]) -> ReplicaRow:
 
 def pressure_row(arg: tuple[ReplicaConfig, int]) -> PressureSample | None:
     """Replica's PressureSample, or None when its right solve did not
-    converge. Only lambda is read, so no h is formed."""
+    converge."""
     config, i = arg
     _, grid, L = replica_operator(config, i)
-    res = perron_eigenvalue(L, config.max_iters)
+    res = power_iterate(L, config.max_iters)
     if not res.converged:
         return None
     return pressure_sample(L, res, grid)
@@ -190,7 +192,8 @@ def aggregate(config: ReplicaConfig, rows: list[ReplicaRow],
               wall_time: float) -> McReport | None:
     """The batch's report over its converged rows, or None when no replica
     converged. A converged row whose lambda is past float64 is refused
-    (ValueError), as spectrum refuses one."""
+    (ValueError), as spectrum refuses one, and so is a mean or stderr of
+    lambda past it."""
     good = [r for r in rows if r.converged]
     if not good:
         return None
@@ -200,6 +203,11 @@ def aggregate(config: ReplicaConfig, rows: list[ReplicaRow],
                              f"{lambda_overflow(r.log_eigenvalue)}")
     lams = np.array([r.eigenvalue for r in good])
     mean_lambda, stderr_lambda = mean_stderr(lams)
+    for name, value in (("mean_lambda", mean_lambda),
+                        ("stderr_lambda", stderr_lambda)):
+        if math.isinf(value):
+            raise ValueError(f"{name} of the {lams.size} converged replicas "
+                             f"overflows float64")
     mean_log, stderr_log = mean_stderr(np.array([r.log_eigenvalue for r in good]))
     q = np.quantile(lams, [0.01, 0.5, 0.99])
     return McReport(
@@ -241,7 +249,7 @@ def _study_row(levels: tuple[int, ...],
         while grid.level < target:
             grid = brownian.refine(grid)
         L = TransferOperator(build_potential(grid, config.beta))
-        res = perron_eigenvalue(L, config.max_iters)
+        res = power_iterate(L, config.max_iters)
         if not res.converged:
             return None
         logs.append(res.log_eigenvalue)

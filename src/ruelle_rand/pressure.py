@@ -20,8 +20,8 @@ import numpy as np
 from .brownian import (HOLDER_GAMMA, MAX_CELLS, BrownianGrid,
                        holder_constant)
 from .symbolic import Alphabet
-from .transfer import (PerronEigenvalue, PotentialField, SpectralResult,
-                       TransferOperator)
+from .transfer import (PotentialField, SpectralResult, TransferOperator,
+                       _log_apply)
 
 DEFAULT_P_GRID = np.linspace(0.01, 0.99, 99)
 
@@ -41,20 +41,25 @@ def birkhoff_pressure(L: TransferOperator, ix: int, kmax: int) -> np.ndarray:
     """Entries (1/k) log (L^k 1)(x) for k = 1..kmax, with x the depth-n
     word of index ix, iterated in the log domain.
 
-    The depth-n system is shift-closed, so evaluation at the fixed word x
-    stands in for the shifted point. Entries converge to log lambda at
-    rate O(1/k), uniformly over x.
+    (L^k 1)(x) depends only on the quotient word ix // m, so the logs G of
+    L^k 1 are iterated on the m^(n-1) quotient words through _log_apply,
+    the kernel of the solve's residual. The depth-n system is shift-closed, so
+    evaluation at the fixed word x stands in for the shifted point. Entries
+    converge to log lambda at rate O(1/k), uniformly over x.
     """
-    cells = L.alphabet.m**L.level
+    m = L.alphabet.m
+    cells = m**L.level
     if not 0 <= ix < cells:
         raise ValueError(f"word index {ix} out of range at depth {L.level}")
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    g = np.zeros(cells)
+    G, new = np.zeros(cells // m), np.empty(cells // m)
     out = np.empty(kmax)
     for k in range(1, kmax + 1):
-        g = L._apply_log(g)
-        out[k - 1] = g[ix] / k
+        for quotient, S, _ in _log_apply(L, G, 0.0):
+            new[quotient] = S
+        G, new = new, G
+        out[k - 1] = G[ix // m] / k
     return out
 
 
@@ -167,8 +172,7 @@ def variational_slack(grid: BrownianGrid, beta: float) -> float:
     return 2.0 * beta * holder * m ** (-HOLDER_GAMMA * grid.level)
 
 
-def pressure_sample(L: TransferOperator,
-                    result: PerronEigenvalue | SpectralResult,
+def pressure_sample(L: TransferOperator, result: SpectralResult,
                     grid: BrownianGrid) -> PressureSample:
     """Assemble one replica's PressureSample from its converged eigenvalue."""
     lb, p = bernoulli_lower_bound(L.potential)

@@ -12,8 +12,9 @@ B_0 = 0 into the operator exactly, which makes the eigenvalue ratio
 identity at the all-zeros word exact at every finite depth.
 
 Because Lf depends only on k // m, the Perron solve runs on the m^(n-1)
-quotient words. It gives lambda and h; the eigenmeasure nu is never
-solved for, since every entry of L^n is at least e^(n min phi) and that
+quotient words, as does log L e^g for a g constant over the last letter
+(_log_apply). power_iterate, the one solve, gives lambda, log lambda and
+h from one core run. The eigenmeasure nu is never solved for, since every entry of L^n is at least e^(n min phi) and that
 bounds nu below through lambda alone (SpectralResult.log_floor).
 """
 
@@ -84,15 +85,6 @@ class TransferOperator:
         G = np.exp(self.potential.phi) * f
         return np.repeat(G.reshape(m, -1).sum(axis=0), m)
 
-    def _apply_log(self, g: np.ndarray) -> np.ndarray:
-        # log (L e^g) for a depth-n g: the log-sum-exp over the m preimage
-        # terms of phi + g, in place on the one depth-n temporary
-        A = (self.potential.phi + g).reshape(self.alphabet.m, -1)
-        amax = A.max(axis=0)
-        A -= amax
-        return np.repeat(amax + np.log(np.exp(A, out=A).sum(axis=0)),
-                         self.alphabet.m)
-
 
 @dataclass(frozen=True)
 class SpectralResult:
@@ -112,8 +104,8 @@ class SpectralResult:
     in logs, so it is finite for every converged solve.
 
     spectrum reports lambda, h and the residual; montecarlo's positivity
-    check reads h and log_floor. Callers that read only lambda (pressure,
-    refine-study) use perron_eigenvalue instead.
+    check reads h and log_floor; pressure and refine-study read
+    log_eigenvalue.
     """
 
     eigenvalue: float
@@ -124,19 +116,6 @@ class SpectralResult:
     converged: bool
     bracket: tuple[float, float]
     log_floor: float
-
-
-@dataclass(frozen=True)
-class PerronEigenvalue:
-    """lambda alone, from the right solve: the fields of SpectralResult that
-    the Collatz-Wielandt bracket certifies without h. iterations counts the
-    right solve's operator applications."""
-
-    eigenvalue: float
-    log_eigenvalue: float
-    bracket: tuple[float, float]
-    iterations: int
-    converged: bool
 
 
 def build_potential(grid: BrownianGrid, beta: float) -> PotentialField:
@@ -291,25 +270,16 @@ def lambda_overflow(log_lambda: float) -> str:
 def _eigenvalue(c: float, lo: float, hi: float):
     """(lambda, log lambda, bracket) from the core's e^c [lo, hi]: lambda
     is the bracket's midpoint, and past float64 it is inf while its log
-    stays finite."""
-    with np.errstate(over="ignore"):
+    stays finite. Where e^c itself overflows, lambda and the bracket ends
+    are each exp of their own log, so they are finite wherever they fit."""
+    llam = c + float(np.log((lo + hi) / 2))
+    with np.errstate(over="ignore", divide="ignore"):
         scale = float(np.exp(c))
-    return (scale * (lo + hi) / 2, c + float(np.log((lo + hi) / 2)),
-            (scale * lo, scale * hi))
-
-
-def perron_eigenvalue(L: TransferOperator,
-                      max_iters: int = DEFAULT_MAX_ITERS) -> PerronEigenvalue:
-    """lambda, certified by the Collatz-Wielandt bracket of one right solve.
-
-    The same core run, and the same bits, as power_iterate's eigenvalue,
-    log_eigenvalue, bracket, iterations and converged. No residual or
-    eigenvector is formed.
-    """
-    _, c, lo, hi, iters, ok, _ = _perron_core(
-        L.potential.phi, L.alphabet.m, L.level, max_iters)
-    lam, llam, bracket = _eigenvalue(c, lo, hi)
-    return PerronEigenvalue(lam, llam, bracket, iters, ok)
+        if scale < np.inf:
+            return scale * (lo + hi) / 2, llam, (scale * lo, scale * hi)
+        # an unconverged core can stop with lo = 0, whose end is e^-inf = 0
+        lam, lam_lo, lam_hi = np.exp([llam, c + np.log(lo), c + np.log(hi)])
+    return float(lam), llam, (float(lam_lo), float(lam_hi))
 
 
 def power_iterate(L: TransferOperator,
@@ -323,9 +293,8 @@ def power_iterate(L: TransferOperator,
     to depth n.
 
     Non-convergence is reported through the converged flag, never raised:
-    replica batches must see the failure, not die on it. Callers that read
-    only lambda (pressure, refine-study) use perron_eigenvalue, which runs
-    the same core and forms no h or residual.
+    replica batches must see the failure, not die on it. Every solve of
+    the CLI runs here.
     """
     m = L.alphabet.m
     logH, c, lo, hi, iters, ok, _ = _perron_core(
@@ -354,38 +323,46 @@ def power_iterate(L: TransferOperator,
 def _residual(L: TransferOperator, logH: np.ndarray, llam: float) -> float:
     """max|Lh - lam h| / (lam ||h||_inf) for the quotient eigenvector
     H = exp(logH), formed on h / ||h||_inf so that extreme beta cannot
-    overflow.
+    overflow: with G = logH - max logH, the max over the blocks of
+    _log_apply of |exp(log (L e^G) - llam) - exp(G)|.
+    """
+    top = logH.max()
+    worst = []
+    for cells, S, spare in _log_apply(L, logH, top):
+        S -= llam
+        np.exp(S, out=S)
+        G = np.subtract(logH[cells], top, out=spare)
+        S -= np.exp(G, out=G)
+        worst.append(np.abs(S, out=S).max())
+    # a NaN block wins, as in one max over the whole vector
+    return float(np.max(worst))
 
-    With G = logH - max logH, log (L e^G)[j b] is the log-sum-exp over a of
-    phi[a j b] + G[a j]. It runs block by block over _BLOCK_HEADS heads j,
-    so its temporaries are block-sized once a solve spans several blocks;
-    each entry is the same floating-point operations as on the whole
-    vector.
+
+def _log_apply(L: TransferOperator, G: np.ndarray, shift: float):
+    """log (L e^(G - shift)) on the quotient words j b, for a depth-n
+    vector constant over its last letter with quotient logs G: the
+    log-sum-exp over a of phi[a j b] + G[a j] - shift.
+
+    Yields (cells, S, spare) per block of _BLOCK_HEADS heads j: S holds the
+    entries of the quotient words in the slice cells, and spare is a buffer
+    of S's size the caller may overwrite. Temporaries are block-sized, and
+    the block size changes no bit.
     """
     phi3 = _by_head(L.potential.phi, L.alphabet.m, L.level)
     m, inner, last = phi3.shape
-    top = logH.max()
-    heads = np.broadcast_to(logH.reshape(-1, inner), (m, inner))
-    quotient = logH.reshape(inner, last)
+    heads = np.broadcast_to(G.reshape(-1, inner), (m, inner))
     block = min(_BLOCK_HEADS, inner)
     buf = np.empty(m * block * last)
-    worst = []
     for j0 in range(0, inner, block):
         j1 = min(j0 + block, inner)
         A = buf[:m * (j1 - j0) * last].reshape(m, j1 - j0, last)
-        np.add(phi3[:, j0:j1], (heads[:, j0:j1] - top)[:, :, None], out=A)
+        np.add(phi3[:, j0:j1], (heads[:, j0:j1] - shift)[:, :, None], out=A)
         amax = A.max(axis=0)
         A -= amax
         S = np.exp(A, out=A).sum(axis=0)
         np.log(S, out=S)
         S += amax
-        S -= llam
-        np.exp(S, out=S)
-        G = np.subtract(quotient[j0:j1], top, out=amax)
-        S -= np.exp(G, out=G)
-        worst.append(np.abs(S, out=S).max())
-    # a NaN block wins, as in one max over the whole vector
-    return float(np.max(worst))
+        yield slice(j0 * last, j1 * last), S.ravel(), amax.ravel()
 
 
 def ratio_representation(L: TransferOperator, result: SpectralResult) -> float:

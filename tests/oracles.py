@@ -10,8 +10,10 @@ per p.
 Two quantities that no CLI path computes live here too: the eigenmeasure
 nu, from the Perron core run on the reversed potential and checked against
 the dense solve, and the functional-equation residual of h, read through
-theta^-1 and checked against the solve's own residual. CSV bytes come from
-the csv module. Memory peaks come from tracemalloc.
+theta^-1 and checked against the solve's own residual. The Birkhoff
+iterates run log L e^g on all m^n depth-n words, where src/ runs them on
+the quotient words. CSV bytes come from the csv module. Memory peaks come
+from tracemalloc.
 """
 
 import csv
@@ -172,6 +174,27 @@ def bernoulli_values(potential, p_grid) -> np.ndarray:
 def _reverse(x: np.ndarray, m: int, depth: int) -> np.ndarray:
     """x o R on depth-letter words, R reversing the letters of a word."""
     return x.reshape((m,) * depth).transpose().ravel()
+
+
+def log_apply(L, g: np.ndarray) -> np.ndarray:
+    """log (L e^g) for a depth-n g: the log-sum-exp over the m preimage
+    terms of phi + g, in place on the one depth-n temporary."""
+    A = (L.potential.phi + g).reshape(L.alphabet.m, -1)
+    amax = A.max(axis=0)
+    A -= amax
+    return np.repeat(amax + np.log(np.exp(A, out=A).sum(axis=0)),
+                     L.alphabet.m)
+
+
+def birkhoff_iterates(L, ix, kmax: int) -> np.ndarray:
+    """(1/k) log (L^k 1)[ix] for k = 1..kmax, by log_apply at depth n; row
+    k - 1 holds k's entries when ix is a list of indices."""
+    g = np.zeros(L.alphabet.m**L.level)
+    out = np.empty((kmax,) + np.shape(ix))
+    for k in range(1, kmax + 1):
+        g = log_apply(L, g)
+        out[k - 1] = g[ix] / k
+    return out
 
 
 def eigenmeasure(L, max_iters: int = DEFAULT_MAX_ITERS):

@@ -24,7 +24,7 @@ from ruelle_rand.pressure import birkhoff_pressure
 from ruelle_rand.report import schema_text
 from ruelle_rand.symbolic import Alphabet
 from ruelle_rand.transfer import (TransferOperator, build_potential,
-                                  perron_eigenvalue, power_iterate)
+                                  power_iterate)
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -485,6 +485,22 @@ class TestSpectrum:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_lambda_finite_past_the_core_scale(self, capsys):
+        # in process, under the suite's filter: the core's scale e^c is past
+        # float64 on this path, lambda = e^616.73 is not
+        code, out, _ = run_cli(capsys, "spectrum", "--level", "8", "--beta",
+                               "700", "--seed", "14232521865600346940")
+        assert code == 0
+        rep = parse_checked(out)["report"]
+        assert rep["converged"] is True
+        assert rep["lambda"] == pytest.approx(math.exp(rep["log_lambda"]),
+                                              rel=1e-14)
+        assert rep["log_lambda"] == pytest.approx(616.73, abs=0.01)
+        lo, hi = rep["cw_bracket"]
+        assert lo <= rep["lambda"] <= hi
+        assert rep["ratio_identity_gap"] <= 1e-11
+        assert rep["pathwise_bounds"] == {"lower_ok": True, "upper_ok": True}
+
     def test_beta_warning_with_zero_noise(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--level", "4",
                                "--zero-noise", "--beta", "2.0")
@@ -560,6 +576,13 @@ class TestIsometryCheck:
         assert code == 0
         assert parse_checked(out)["report"]["roundtrip_failures"] == 0
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_no_trials_is_usage_error(self, capsys, trials):
+        code, out, err = run_cli(capsys, "isometry-check", "--level", "4",
+                                 "--trials", trials)
+        assert (code, out) == (1, "")
+        assert err == "error: trials must be >= 1\n"
+
 
 class TestPressure:
     def test_small_batch(self, capsys, tmp_path):
@@ -624,13 +647,13 @@ class TestPressure:
         # replica 0's right solve is made to fail; the CSV must then hold
         # replica 1's iterates
         calls = []
-        solve = montecarlo.perron_eigenvalue
+        solve = montecarlo.power_iterate
 
         def fail_first(L, *args):
             res = solve(L, *args)
             calls.append(L)
             return replace(res, converged=False) if len(calls) == 1 else res
-        monkeypatch.setattr(montecarlo, "perron_eigenvalue", fail_first)
+        monkeypatch.setattr(montecarlo, "power_iterate", fail_first)
         csv = tmp_path / "birkhoff.csv"
         code, out, _ = run_cli(capsys, "pressure", "--level", "6",
                                "--replicas", "3", "--kmax", "8", "--seed", "4",
@@ -756,13 +779,44 @@ class TestMontecarlo:
 
     def test_overflowing_lambda_names_log_lambda(self, capsys):
         # in process, under the suite's error::RuntimeWarning filter: no
-        # mean, stderr or quantile is taken over an infinite lambda
+        # mean, stderr or quantile is taken over an infinite lambda, and no
+        # check that overflows with it runs on its row
+        code, out, err = run_cli(capsys, "montecarlo", "--level", "8",
+                                 "--replicas", "16", "--beta", "700",
+                                 "--seed", "1")
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: replica 8 ")
+        assert "log_lambda = 751.78" in line
+        assert line.endswith("overflows float64")
+
+    def test_overflowing_stderr_names_the_statistic(self, capsys):
+        # every lambda fits (the largest is e^616.73), but the spread of
+        # lambda does not: refused by name, under the suite's filter
         code, out, err = run_cli(capsys, "montecarlo", "--level", "8",
                                  "--replicas", "16", "--beta", "700")
         assert (code, out) == (1, "")
-        [line] = err.splitlines()
-        assert line.startswith("error: replica ")
-        assert "log_lambda = " in line and line.endswith("overflows float64")
+        assert err == ("error: stderr_lambda of the 10 converged replicas "
+                       "overflows float64\n")
+
+
+class TestOneSolve:
+    @pytest.mark.parametrize("argv,levels", [
+        (["pressure", "--level", "6", "--replicas", "5", "--kmax", "4"], [6]),
+        (["refine-study", "--levels", "4,5,7", "--replicas", "5"], [4, 5, 7]),
+    ], ids=["pressure", "refine-study"])
+    def test_replica_solves_run_power_iterate(self, capsys, monkeypatch,
+                                              argv, levels):
+        # R solves for pressure, R x levels for refine-study, all through
+        # the one entry point
+        solved = []
+        solve = montecarlo.power_iterate
+        monkeypatch.setattr(montecarlo, "power_iterate",
+                            lambda L, *a: solved.append(L.level) or solve(L, *a))
+        code, _, _ = run_cli(capsys, *argv, "--workers", "1")
+        assert code == 0
+        assert solved == 5 * levels
+        assert solve is power_iterate is cli.power_iterate
 
 
 class TestRefineStudy:
@@ -792,7 +846,7 @@ class TestRefineStudy:
         good = []
         for i in range(8):
             grid = brownian.sample(5, Alphabet(2), derive_seed(0, i))
-            res = [perron_eigenvalue(TransferOperator(build_potential(g, 1e3)))
+            res = [power_iterate(TransferOperator(build_potential(g, 1e3)))
                    for g in (grid, brownian.refine(grid))]
             if all(r.converged for r in res):
                 good.append(abs(res[1].log_eigenvalue - res[0].log_eigenvalue))
@@ -801,8 +855,8 @@ class TestRefineStudy:
         assert rep["mean_abs_drift"] == [float(np.mean(good))]
 
     def test_all_replicas_failed(self, capsys, monkeypatch):
-        solve = montecarlo.perron_eigenvalue
-        monkeypatch.setattr(montecarlo, "perron_eigenvalue",
+        solve = montecarlo.power_iterate
+        monkeypatch.setattr(montecarlo, "power_iterate",
                             lambda L, *a: replace(solve(L, *a), converged=False))
         code, out, err = run_cli(capsys, "refine-study", "--levels", "4,6",
                                  "--replicas", "3")

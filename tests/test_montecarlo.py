@@ -244,12 +244,27 @@ class TestAggregate:
     def test_overflowing_lambda_is_refused(self):
         # beta 700: converged rows whose lambda is past float64 are refused
         # before any mean or quantile is taken over them
-        cfg = ReplicaConfig(level=8, beta=700.0, master_seed=0, replicas=16)
+        cfg = ReplicaConfig(level=8, beta=700.0, master_seed=1, replicas=16)
         rows = run_replicas(cfg)
         bad = [r for r in rows if r.converged and math.isinf(r.eigenvalue)]
         assert bad
+        assert all(r.log_eigenvalue > math.log(sys.float_info.max)
+                   for r in bad)
         with pytest.raises(ValueError, match=(
                 f"replica {bad[0].index} .*log_lambda = .* overflows float64")):
+            aggregate(cfg, rows, 0.0)
+
+    def test_overflowing_stderr_is_refused(self):
+        # every converged lambda fits float64 here, the spread of lambda
+        # does not
+        cfg = ReplicaConfig(level=8, beta=700.0, master_seed=0, replicas=16)
+        rows = run_replicas(cfg)
+        good = [r for r in rows if r.converged]
+        assert all(math.isfinite(r.eigenvalue) for r in good)
+        assert max(r.log_eigenvalue for r in good) > 600
+        with pytest.raises(ValueError, match=(
+                f"^stderr_lambda of the {len(good)} converged replicas "
+                f"overflows float64")):
             aggregate(cfg, rows, 0.0)
 
     def test_wall_time_passthrough(self, healthy_rows):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import all_words, bernoulli_values, dense_matrix
+from oracles import (all_words, bernoulli_values, birkhoff_iterates,
+                     dense_matrix)
+from ruelle_rand import transfer
 from ruelle_rand.brownian import sample, stats
 from ruelle_rand.pressure import (DEFAULT_P_GRID, _digit_tables,
                                   bernoulli_lower_bound, birkhoff_pressure,
@@ -66,6 +68,28 @@ class TestBirkhoff:
         for ix in range(A.shape[0]):
             got = birkhoff_pressure(L, ix, 6)
             assert np.allclose(got, want[:, ix], rtol=1e-13, atol=0), ix
+
+    def test_bits_of_the_depth_n_iterates(self, monkeypatch):
+        # the quotient iterates equal the depth-n log kernel's bit for bit,
+        # on one block of heads and, at the smaller depths, across several
+        cases = [(m, n, beta, seed)
+                 for m, levels in ((2, range(1, 9)), (3, range(1, 9)),
+                                   (5, range(1, 7)))
+                 for n in levels
+                 for beta in (0.0, 1.0, 30.0)
+                 for seed in range(4)]
+        default = transfer._BLOCK_HEADS
+        for m, n, beta, seed in cases:
+            grid = sample(n, Alphabet(m), seed)
+            L = TransferOperator(build_potential(grid, beta))
+            words = [0, m**n // 3, m**n - 1]
+            want = birkhoff_iterates(L, words, 32)
+            for block in (default, 2) if n <= 5 else (default,):
+                monkeypatch.setattr(transfer, "_BLOCK_HEADS", block)
+                for i, ix in enumerate(words):
+                    got = birkhoff_pressure(L, ix, 32)
+                    assert got.tobytes() == want[:, i].tobytes(), \
+                        (m, n, beta, seed, ix, block)
 
     def test_kmax_validated(self):
         L, _, _ = seeded(3, 1)

@@ -1,12 +1,13 @@
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from oracles import (_reverse, dense_matrix, dense_perron, eigenmeasure,
-                     functional_equation_residual, log_eigenmeasure,
-                     traced_peak)
+                     functional_equation_residual, log_apply,
+                     log_eigenmeasure, traced_peak)
 from ruelle_rand import transfer
 from ruelle_rand.brownian import sample
 from ruelle_rand.skorokhod import CylinderFunction
@@ -14,8 +15,8 @@ from ruelle_rand.symbolic import Alphabet
 from ruelle_rand.transfer import (DEFAULT_MAX_ITERS, DEFAULT_TOL,
                                   PotentialField, TransferOperator,
                                   _perron_core, apply, build_potential,
-                                  pathwise_bounds, perron_eigenvalue,
-                                  power_iterate, ratio_representation)
+                                  _eigenvalue, pathwise_bounds, power_iterate,
+                                  ratio_representation)
 
 B2 = Alphabet(2)
 B3 = Alphabet(3)
@@ -94,11 +95,18 @@ class TestApply:
         assert np.allclose(fast, A @ f, rtol=1e-13, atol=0)
 
     def test_log_domain_consistency(self):
+        # the quotient log kernel against the linear operator, on a g that
+        # is constant over the last letter
         L, _ = seeded_op(5, 11)
         rng = np.random.default_rng(0)
-        g = rng.normal(size=32)
-        direct = np.log(L._apply(np.exp(g)))
-        assert np.allclose(L._apply_log(g), direct, rtol=0, atol=1e-12)
+        G = rng.normal(size=16)
+        direct = np.log(L._apply(np.exp(np.repeat(G, 2))))
+        assert np.array_equal(direct[::2], direct[1::2])
+        for shift in (0.0, 1.5):
+            got = np.empty(16)
+            for cells, S, _ in transfer._log_apply(L, G, shift):
+                got[cells] = S
+            assert np.allclose(got, direct[::2] - shift, rtol=0, atol=1e-12)
 
     def test_level_mismatch_rejected(self):
         L, _ = seeded_op(3, 1)
@@ -402,26 +410,55 @@ class TestPerronEigenvalue:
                 for beta in (0.0, 0.5, 1.0, 3.0, 10.0, 40.0, 400.0):
                     L, _ = seeded_op(n, n, beta=beta, alphabet=alphabet)
                     del builds[:]
-                    got = perron_eigenvalue(L)
+                    got = power_iterate(L)
                     folded |= beta == 400.0 and len(builds) > 1
                     core = _perron_core(L.potential.phi, m, n,
                                         DEFAULT_MAX_ITERS)
                     shifted |= core[6] is not None
-                    # h past float64 at beta = 400 warns; not this test's
-                    with np.errstate(over="ignore"):
-                        want = power_iterate(L)
+                    lam, llam, bracket = _eigenvalue(*core[1:4])
                     case = (m, n, beta)
-                    assert got.eigenvalue == want.eigenvalue, case
-                    assert got.log_eigenvalue == want.log_eigenvalue, case
-                    assert got.bracket == want.bracket, case
+                    assert got.eigenvalue == lam, case
+                    assert got.log_eigenvalue == llam, case
+                    assert got.bracket == bracket, case
                     assert got.converged == core[5], case
                     assert got.iterations == core[4], case
         assert folded and shifted
 
     def test_unconverged_flagged_not_raised(self):
         L, _ = seeded_op(8, 5)
-        got = perron_eigenvalue(L, max_iters=2)
+        got = power_iterate(L, max_iters=2)
+        core = _perron_core(L.potential.phi, 2, 8, 2)
         assert not got.converged and got.iterations == 2
+        assert not core[5] and core[4] == 2
+        assert (got.eigenvalue, got.log_eigenvalue, got.bracket) == \
+            _eigenvalue(*core[1:4])
+
+    def test_finite_where_the_core_scale_overflows(self):
+        # the core's e^c is past float64 while lambda = e^616.73 is not
+        L, _ = seeded_op(8, 14232521865600346940, beta=700.0)
+        c, lo, hi = _perron_core(L.potential.phi, 2, 8, DEFAULT_MAX_ITERS)[1:4]
+        assert c > math.log(sys.float_info.max) and (lo + hi) / 2 < 1
+        r = power_iterate(L)
+        assert r.converged
+        assert r.log_eigenvalue == pytest.approx(616.73, abs=0.01)
+        assert r.eigenvalue == pytest.approx(math.exp(r.log_eigenvalue),
+                                             rel=1e-14)
+        # each bracket end is exp of its own log, so it carries that
+        # rounding on top of the core's width
+        assert r.bracket == pytest.approx(
+            (math.exp(c + math.log(lo)), math.exp(c + math.log(hi))),
+            rel=1e-14)
+        assert r.bracket[0] <= r.eigenvalue <= r.bracket[1]
+
+    def test_zero_bracket_end_is_no_warning(self):
+        # an unconverged core may stop with lo = 0; past e^c's range the
+        # bracket end is then 0, with no divide-by-zero warning
+        lam, llam, bracket = _eigenvalue(710.0, 0.0, 0.5)
+        assert llam == 710.0 + math.log(0.25)
+        assert lam == pytest.approx(math.exp(llam), rel=1e-14)
+        assert bracket[0] == 0.0
+        assert bracket[1] == pytest.approx(math.exp(710.0 + math.log(0.5)),
+                                           rel=1e-14)
 
 
 class TestRatioIdentity:
@@ -450,7 +487,7 @@ class TestRatioIdentity:
         r = power_iterate(L)
         glog = np.zeros(256)
         for _ in range(200):
-            glog = L._apply_log(glog)
+            glog = log_apply(L, glog)
             glog -= glog.max()
         est = 1 + math.exp(g.values[128]) * math.exp(glog[128] - glog[0])
         assert abs(est - r.eigenvalue) / r.eigenvalue <= 1e-6
@@ -520,7 +557,7 @@ class TestPathwiseBounds:
         overflowed = False
         for seed in range(8):
             L, g = seeded_op(6, seed, beta=1000.0)
-            r = perron_eigenvalue(L)
+            r = power_iterate(L)
             if not r.converged:
                 continue
             # e^(beta max B) past float64
