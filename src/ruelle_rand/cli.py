@@ -44,14 +44,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_USAGE_EXIT)
 
 
-def _emit(args, manifest: dict, rep: dict) -> None:
+def _emit(args, rep: dict, *files, ok=True, wall_time=None) -> int:
+    """Write the envelope to --out, then stdout; 0 if ok, else 2. The
+    manifest lists the files the run wrote, then --out."""
+    outputs = [p for p in (*files, args.out) if p]
+    manifest = report.build_manifest(args.subcommand, _config_dict(args),
+                                     __version__, outputs)
+    if wall_time is not None:
+        manifest["wall_time"] = wall_time
     text = report.dumps_envelope(manifest, rep)
     # every file before stdout, so that a run that cannot write one exits 1
     # with nothing on stdout
-    if getattr(args, "out", None):
+    if args.out:
         with report.open_output(args.out) as fh:
             fh.write(text)
     sys.stdout.write(text)
+    return 0 if ok else _VIOLATION_EXIT
+
+
+def _all_failed() -> int:
+    sys.stderr.write("error: all replicas failed to converge\n")
+    return _VIOLATION_EXIT
 
 
 def _config_dict(args, skip=("func", "subcommand")) -> dict:
@@ -63,22 +76,11 @@ def _config_dict(args, skip=("func", "subcommand")) -> dict:
     return cfg
 
 
-def _outputs(args, *paths) -> list[str]:
-    out = [p for p in paths if p]
-    if getattr(args, "out", None):
-        out.append(args.out)
-    return out
-
-
-def _alphabet(args) -> Alphabet:
-    return Alphabet(args.alphabet)
-
-
 def _replica_config(args, level: int):
     from . import montecarlo
 
     return montecarlo.ReplicaConfig(
-        level=level, alphabet=_alphabet(args), beta=args.beta,
+        level=level, alphabet=Alphabet(args.alphabet), beta=args.beta,
         master_seed=args.seed, replicas=args.replicas)
 
 
@@ -90,7 +92,7 @@ def _resolved_beta(args) -> float:
 
 
 def _cmd_sample_path(args) -> int:
-    grid = brownian.sample(args.level, _alphabet(args), args.seed,
+    grid = brownian.sample(args.level, Alphabet(args.alphabet), args.seed,
                            zero_noise=args.zero_noise)
     st = brownian.stats(grid, args.gamma)
     csv_path = args.csv
@@ -109,10 +111,7 @@ def _cmd_sample_path(args) -> int:
             "holder_constant": st.holder_constant, "gamma": st.gamma,
         },
     }
-    manifest = report.build_manifest("sample-path", _config_dict(args),
-                                     __version__, _outputs(args, csv_path))
-    _emit(args, manifest, rep)
-    return 0
+    return _emit(args, rep, csv_path)
 
 
 def _words(m: int, n: int) -> np.ndarray:
@@ -132,7 +131,7 @@ def _words(m: int, n: int) -> np.ndarray:
 
 def _cmd_spectrum(args) -> int:
     beta = _resolved_beta(args)
-    alphabet = _alphabet(args)
+    alphabet = Alphabet(args.alphabet)
     m, n = alphabet.m, args.level
     if args.emit_eigenfunction and m > 10:
         # refused before the solve: the word column has one digit per letter
@@ -164,19 +163,15 @@ def _cmd_spectrum(args) -> int:
         "ratio_point": f"1/{m}^1",
         "pathwise_bounds": bounds,
     }
-    manifest = report.build_manifest(
-        "spectrum", _config_dict(args), __version__,
-        _outputs(args, args.emit_eigenfunction))
-    _emit(args, manifest, rep)
-    bad = (not res.converged or not bounds["lower_ok"]
-           or not bounds["upper_ok"] or not res.eigenvalue > 1.0)
-    return _VIOLATION_EXIT if bad else 0
+    ok = (res.converged and bounds["lower_ok"] and bounds["upper_ok"]
+          and res.eigenvalue > 1.0)
+    return _emit(args, rep, args.emit_eigenfunction, ok=ok)
 
 
 def _cmd_isometry_check(args) -> int:
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
-    alphabet = _alphabet(args)
+    alphabet = Alphabet(args.alphabet)
     m, n = alphabet.m, args.level
     brownian.check_cells(n, alphabet)
     worst = 0.0
@@ -205,10 +200,7 @@ def _cmd_isometry_check(args) -> int:
         "max_norm_discrepancy": worst,
         "roundtrip_failures": failures,
     }
-    manifest = report.build_manifest("isometry-check", _config_dict(args),
-                                     __version__, _outputs(args))
-    _emit(args, manifest, rep)
-    return _VIOLATION_EXIT if (worst != 0.0 or failures) else 0
+    return _emit(args, rep, ok=worst == 0.0 and not failures)
 
 
 def _cmd_pressure(args) -> int:
@@ -220,12 +212,9 @@ def _cmd_pressure(args) -> int:
         raise ValueError("kmax must be >= 1")
     results = montecarlo.map_replicas(montecarlo.pressure_row, config,
                                       args.workers)
-    samples = [s for s in results if s is not None]
-    if not samples:
-        sys.stderr.write("error: all replicas failed to converge\n")
-        return _VIOLATION_EXIT
-    rep = pressure.quenched_report(samples, config.alphabet, config.beta)
-    rep["n_failed"] = len(results) - len(samples)
+    rep = pressure.quenched_report(results, config.alphabet, config.beta)
+    if rep is None:
+        return _all_failed()
     if args.emit_birkhoff:
         # the iterates of the first converged replica, rebuilt from its seed
         first = next(i for i, s in enumerate(results) if s is not None)
@@ -233,65 +222,37 @@ def _cmd_pressure(args) -> int:
         seq = pressure.birkhoff_pressure(L, 0, args.kmax)
         rows = [(k + 1, float(v)) for k, v in enumerate(seq)]
         report.write_csv(args.emit_birkhoff, ["k", "value"], rows)
-    manifest = report.build_manifest(
-        "pressure", _config_dict(args), __version__,
-        _outputs(args, args.emit_birkhoff))
-    _emit(args, manifest, rep)
-    bad = (not rep["jensen_ok"] or not rep["bounds_ok"]
-           or not rep["all_positive"] or rep["variational_violations"] > 0)
-    return _VIOLATION_EXIT if bad else 0
+    ok = (rep["jensen_ok"] and rep["bounds_ok"] and rep["all_positive"]
+          and rep["variational_violations"] == 0)
+    return _emit(args, rep, args.emit_birkhoff, ok=ok)
 
 
 def _cmd_montecarlo(args) -> int:
     from . import montecarlo
 
-    config = _replica_config(args, args.level)
-    rows, mc = montecarlo.run(config, args.workers)
+    rows, mc = montecarlo.run(_replica_config(args, args.level), args.workers)
     if mc is None:
-        sys.stderr.write("error: all replicas failed to converge\n")
-        return _VIOLATION_EXIT
-    tight = montecarlo.tightened_upper_check(config, rows)
+        return _all_failed()
     if args.csv:
         report.write_csv(
             args.csv, ["seed", "lambda", "log_lambda", "M1", "B1"],
             [(r.seed, r.eigenvalue, r.log_eigenvalue, r.m1, r.b1) for r in rows])
-    rep = mc.to_dict()
-    violations = rep["bound_violations"]
-    rep["bounds_ok"] = bool(sum(violations.values()) == 0 and mc.n_failed == 0)
-    if args.beta == 1.0:
-        lo = math.exp(0.5)
-        band_ok = (lo <= mc.mean_lambda <= tight["band_upper"]
-                   and tight["tightened_bound_ok"])
-        rep["expectation_band_ok"] = bool(band_ok)
-    else:
-        rep["expectation_band_ok"] = None
-    rep["tightened"] = tight
-    manifest = report.build_manifest("montecarlo", _config_dict(args),
-                                     __version__, _outputs(args, args.csv))
-    manifest["wall_time"] = mc.wall_time
-    _emit(args, manifest, rep)
-    bad = not rep["bounds_ok"] or rep["expectation_band_ok"] is False
-    return _VIOLATION_EXIT if bad else 0
+    ok = mc.bounds_ok and mc.expectation_band_ok is not False
+    return _emit(args, mc.to_dict(), args.csv, ok=ok, wall_time=mc.wall_time)
 
 
 def _cmd_refine_study(args) -> int:
     try:
         levels = [int(x) for x in args.levels.split(",")]
     except ValueError:
-        sys.stderr.write("error: --levels must be a comma-separated integer list\n")
-        return _USAGE_EXIT
+        raise ValueError("--levels must be a comma-separated integer list") from None
     from . import montecarlo
 
-    config = _replica_config(args, levels[0])
-    rep = montecarlo.refinement_study(config, levels, args.workers)
+    rep = montecarlo.refinement_study(_replica_config(args, levels[0]), levels,
+                                      args.workers)
     if rep is None:
-        sys.stderr.write("error: all replicas failed to converge\n")
-        return _VIOLATION_EXIT
-    manifest = report.build_manifest("refine-study", _config_dict(args),
-                                     __version__, _outputs(args))
-    _emit(args, manifest, rep)
-    bad = rep["n_failed"] > 0 or not rep["decreasing"]
-    return _VIOLATION_EXIT if bad else 0
+        return _all_failed()
+    return _emit(args, rep, ok=rep["n_failed"] == 0 and rep["decreasing"])
 
 
 def _read_columns(path: str, wanted: list[str]) -> list[list[float]]:
@@ -303,35 +264,36 @@ def _read_columns(path: str, wanted: list[str]) -> list[list[float]]:
         raise ValueError(f"malformed CSV {path}: {e}") from None
     if not cols:
         raise ValueError(f"malformed CSV {path}: no data rows")
+    # report.write_csv never writes a non-finite cell
+    for k, row in enumerate(cols, 1):
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"malformed CSV {path}: non-finite value in "
+                             f"data row {k}")
     return [list(c) for c in zip(*cols)]
 
 
 def _cmd_plot(args) -> int:
     from . import figures  # only plot loads it
 
-    try:
-        if args.kind == "path":
-            t, v = _read_columns(args.input, ["t", "value"])
-            svg = figures.path_svg(t, v)
-            points = len(t)
-        elif args.kind == "histogram":
-            lams, m1s = _read_columns(args.input, ["lambda", "M1"])
-            svg = figures.histogram_svg(lams, m1s)
-            points = len(lams)
-        else:
-            k, v = _read_columns(args.input, ["k", "value"])
-            svg = figures.birkhoff_svg(k, v)
-            points = len(k)
-    except ValueError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return _USAGE_EXIT
+    if args.kind == "path":
+        t, v = _read_columns(args.input, ["t", "value"])
+        svg = figures.path_svg(t, v)
+        points = len(t)
+    elif args.kind == "histogram":
+        lams, m1s = _read_columns(args.input, ["lambda", "M1"])
+        svg = figures.histogram_svg(lams, m1s)
+        points = len(lams)
+    else:
+        k, v = _read_columns(args.input, ["k", "value"])
+        svg = figures.birkhoff_svg(k, v)
+        points = len(k)
+    # the SVG is plot's --out, so it writes its own envelope to stdout only
     with report.open_output(args.out) as fh:
         fh.write(svg)
     rep = {"kind": args.kind, "input": args.input, "points": points}
     manifest = report.build_manifest("plot", _config_dict(args), __version__,
                                      [args.out])
-    text = report.dumps_envelope(manifest, rep)
-    sys.stdout.write(text)
+    sys.stdout.write(report.dumps_envelope(manifest, rep))
     return 0
 
 

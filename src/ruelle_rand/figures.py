@@ -8,11 +8,14 @@ date-, id- or backend-dependent enters the file.
 from __future__ import annotations
 
 import math
+import sys
 
 W, H = 800, 420
 ML, MR, MT, MB = 60, 20, 20, 40
 PW, PH = W - ML - MR, H - MT - MB
 HIST_BINS = 40
+# the largest histogram axis end whose pixel arithmetic stays in float64
+X_MAX = sys.float_info.max / (2 * PW)
 
 
 def _f(x: float) -> str:
@@ -78,9 +81,13 @@ def path_svg(t: list[float], v: list[float]) -> str:
 
 def histogram_svg(lams: list[float], m1s: list[float]) -> str:
     """Histogram of eigenvalues; axis floor 1 and ceiling at least twice
-    the largest e^M1 so the pathwise upper bound is visible in frame."""
+    the largest e^M1 so the pathwise upper bound is visible in frame. The
+    ceiling stops at X_MAX, and eigenvalues past it fall in the last bin."""
     x_lo = 1.0
-    x_hi = max(2.0 * math.exp(max(m1s)), max(lams))
+    m1 = max(m1s)
+    # math.exp raises past 709.78
+    ceiling = 2.0 * math.exp(m1) if m1 < 709.0 else X_MAX
+    x_hi = min(max(ceiling, max(lams)), X_MAX)
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
     counts = [0] * HIST_BINS

@@ -79,6 +79,12 @@ class McReport:
     # the converged rows' smallest log_floor: on every path, each nu[w] and
     # h[w] / sum(h) is above its exp
     positivity_log_floor: float
+    # no failed replica and no bound violation
+    bounds_ok: bool
+    # mean_lambda inside the expectation band and below the tightened
+    # upper bound; None at beta != 1, where the band is not gated
+    expectation_band_ok: bool | None
+    tightened: dict
     # seconds the replicas took: run metadata, which the CLI puts in the
     # manifest so the report stays a pure function of the config
     wall_time: float
@@ -190,10 +196,10 @@ def run_replicas(config: ReplicaConfig, workers: int | None = None) -> list[Repl
 
 def aggregate(config: ReplicaConfig, rows: list[ReplicaRow],
               wall_time: float) -> McReport | None:
-    """The batch's report over its converged rows, or None when no replica
-    converged. A converged row whose lambda is past float64 is refused
-    (ValueError), as spectrum refuses one, and so is a mean or stderr of
-    lambda past it."""
+    """The batch's report over its converged rows, verdicts included, or
+    None when no replica converged. A converged row whose lambda is past
+    float64 is refused (ValueError), as spectrum refuses one, and so is a
+    mean or stderr of lambda past it."""
     good = [r for r in rows if r.converged]
     if not good:
         return None
@@ -201,29 +207,38 @@ def aggregate(config: ReplicaConfig, rows: list[ReplicaRow],
         if math.isinf(r.eigenvalue):
             raise ValueError(f"replica {r.index} (seed {r.seed}): "
                              f"{lambda_overflow(r.log_eigenvalue)}")
-    lams = np.array([r.eigenvalue for r in good])
-    mean_lambda, stderr_lambda = mean_stderr(lams)
+    tight = tightened_upper_check(config, good)
+    mean_lambda, stderr_lambda = tight["mean_lambda"], tight["stderr_lambda"]
     for name, value in (("mean_lambda", mean_lambda),
                         ("stderr_lambda", stderr_lambda)):
         if math.isinf(value):
-            raise ValueError(f"{name} of the {lams.size} converged replicas "
+            raise ValueError(f"{name} of the {len(good)} converged replicas "
                              f"overflows float64")
     mean_log, stderr_log = mean_stderr(np.array([r.log_eigenvalue for r in good]))
-    q = np.quantile(lams, [0.01, 0.5, 0.99])
+    q = np.quantile([r.eigenvalue for r in good], [0.01, 0.5, 0.99])
+    violations = {
+        "lower": sum(1 for r in good if not r.lower_ok),
+        "upper": sum(1 for r in good if not r.upper_ok),
+        "positivity": sum(1 for r in good if not r.positive_ok),
+    }
+    band_ok = None
+    if config.beta == 1.0:
+        # the expectation band [e^(1/2), 2m e^(1/2)] at beta 1
+        band_ok = (math.exp(0.5) <= mean_lambda <= tight["band_upper"]
+                   and tight["tightened_bound_ok"])
     return McReport(
-        n_converged=lams.size,
-        n_failed=len(rows) - lams.size,
+        n_converged=len(good),
+        n_failed=len(rows) - len(good),
         mean_lambda=mean_lambda,
         stderr_lambda=stderr_lambda,
         mean_log_lambda=mean_log,
         stderr_log_lambda=stderr_log,
         quantiles={"q01": float(q[0]), "q50": float(q[1]), "q99": float(q[2])},
-        bound_violations={
-            "lower": sum(1 for r in good if not r.lower_ok),
-            "upper": sum(1 for r in good if not r.upper_ok),
-            "positivity": sum(1 for r in good if not r.positive_ok),
-        },
+        bound_violations=violations,
         positivity_log_floor=min(r.log_floor for r in good),
+        bounds_ok=sum(violations.values()) == 0 and len(good) == len(rows),
+        expectation_band_ok=band_ok,
+        tightened=tight,
         wall_time=wall_time,
     )
 
@@ -296,7 +311,7 @@ def tightened_upper_check(config: ReplicaConfig, rows: list[ReplicaRow]) -> dict
     mean_lambda, itself a float, cannot exceed."""
     good = [r for r in rows if r.converged]
     if not good:
-        raise RuntimeError("all replicas failed to converge")
+        raise ValueError("no converged rows")
     mean_lambda, stderr = mean_stderr(np.array([r.eigenvalue for r in good]))
     with np.errstate(over="ignore"):
         exp_m1 = np.exp(config.beta * np.array([r.m1 for r in good])).mean()

@@ -197,27 +197,33 @@ def pressure_band(alphabet: Alphabet, beta: float = 1.0) -> tuple[float, float]:
     return 0.0, math.log(2 * alphabet.m) + beta**2 / 2
 
 
-def quenched_report(samples: list[PressureSample],
+def quenched_report(results: list[PressureSample | None],
                     alphabet: Alphabet = Alphabet(2),
-                    beta: float = 1.0) -> dict:
-    """Batch aggregation: mean and standard error of log lambda, the Jensen
-    ordering mean(log) <= log(mean), the a priori band check at beta, and
-    the worst variational gap (most positive variational_lb - log_lambda)."""
+                    beta: float = 1.0) -> dict | None:
+    """Batch report over the replicas that converged (None marks one that
+    did not, counted in n_failed), or None when none did: mean and
+    standard error of log lambda, the Jensen ordering mean(log) <=
+    log(mean), the a priori band check at beta, and the worst variational
+    gap (most positive variational_lb - log_lambda)."""
+    samples = [s for s in results if s is not None]
     if not samples:
-        raise ValueError("no samples")
+        return None
     logs = np.array([s.log_lambda for s in samples])
-    lams = np.exp(logs)
+    # a lambda past float64 makes log(mean) inf, where Jensen still holds
+    with np.errstate(over="ignore"):
+        log_mean = math.log(float(np.exp(logs).mean()))
     mean_log, stderr = mean_stderr(logs)
     lo, hi = pressure_band(alphabet, beta)
     gaps = np.array([s.variational_lb - s.log_lambda for s in samples])
     slacks = np.array([s.slack for s in samples])
     return {
         "n": int(logs.size),
+        "n_failed": len(results) - len(samples),
         "mean_log_lambda": mean_log,
         "stderr": stderr,
         "min_log_lambda": float(logs.min()),
         "all_positive": bool(np.all(logs > 0)),
-        "jensen_ok": bool(mean_log <= math.log(float(lams.mean()))),
+        "jensen_ok": bool(mean_log <= log_mean),
         "band": [lo, hi],
         "bounds_ok": bool(lo <= mean_log <= hi),
         "worst_variational_gap": float(gaps.max()),

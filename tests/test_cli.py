@@ -627,6 +627,20 @@ class TestPressure:
         assert rep["mean_log_lambda"] > math.log(4) + 0.5
         assert rep["bounds_ok"] is True
 
+    def test_jensen_check_past_float64(self, capsys):
+        # in process, under the suite's error::RuntimeWarning filter: two
+        # replicas have log lambda 751.8 and 1135.7, so the mean of lambda
+        # is inf, and Jensen's mean(log) <= log(mean) holds there
+        code, out, err = run_cli(capsys, "pressure", "--level", "8",
+                                 "--replicas", "16", "--beta", "700",
+                                 "--seed", "1")
+        rep = parse_checked(out)["report"]
+        assert rep["jensen_ok"] is True
+        assert rep["n"] + rep["n_failed"] == 16
+        # all_positive is false: two replicas have lambda - 1 below float64
+        # resolution (ROADMAP item 1)
+        assert (code, err) == (2, "")
+
     @pytest.mark.parametrize("emit", [False, True])
     def test_zero_kmax_refused_before_sampling(self, capsys, monkeypatch,
                                                tmp_path, emit):
@@ -692,6 +706,20 @@ class TestMontecarlo:
         lines = csv.read_text().splitlines()
         assert lines[0] == "seed,lambda,log_lambda,M1,B1"
         assert len(lines) == 25
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_report_is_the_aggregate_report(self, capsys, beta):
+        # the CLI adds no key: every field, verdicts included, is built by
+        # montecarlo.aggregate
+        code, out, _ = run_cli(capsys, "montecarlo", "--level", "6",
+                               "--replicas", "16", "--seed", "2",
+                               "--beta", str(beta))
+        cfg = montecarlo.ReplicaConfig(level=6, beta=beta, master_seed=2,
+                                       replicas=16)
+        expected = montecarlo.run(cfg)[1].to_dict()
+        assert code == 0
+        assert parse_checked(out)["report"] == expected
+        assert (expected["expectation_band_ok"] is None) == (beta != 1.0)
 
     def test_band_only_gated_at_unit_beta(self, capsys):
         code, out, _ = run_cli(capsys, "montecarlo", "--level", "5",
@@ -869,6 +897,12 @@ class TestRefineStudy:
         assert code == 1
         assert "comma-separated" in err
 
+    def test_malformed_levels_message(self, capsys):
+        code, out, err = run_cli(capsys, "refine-study", "--levels", "a,b")
+        assert (code, out) == (1, "")
+        assert err == ("error: --levels must be a comma-separated integer "
+                       "list\n")
+
     def test_single_level_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "refine-study", "--levels", "8",
                              "--replicas", "2")
@@ -939,3 +973,55 @@ class TestPlot:
                                str(tmp_path / "x.svg"))
         assert code == 1
         assert "no data rows" in err
+
+    @pytest.mark.parametrize("kind,text", [
+        ("histogram", "seed,lambda,log_lambda,M1,B1\n1,nan,0.9,0.5,0.1\n"),
+        ("histogram", "seed,lambda,log_lambda,M1,B1\n1,2.5,0.9,0.5,0.1\n"
+                      "2,inf,0.9,0.5,0.1\n"),
+        ("birkhoff", "k,value\n1,0.5\n2,nan\n3,0.7\n"),
+        ("path", "t,value\n0,0\n1,-inf\n"),
+    ], ids=["nan-lambda", "inf-lambda", "nan-birkhoff", "inf-path"])
+    def test_non_finite_cell_refused(self, capsys, tmp_path, kind, text):
+        # write_csv never writes a non-finite cell, so one marks a
+        # malformed input; nothing is written
+        csv = tmp_path / "in.csv"
+        csv.write_text(text)
+        svg = tmp_path / "x.svg"
+        code, out, err = run_cli(capsys, "plot", "--kind", kind,
+                                 "--input", str(csv), "--out", str(svg))
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith(f"error: malformed CSV {csv}: non-finite")
+        assert not svg.exists()
+
+    def test_histogram_axis_past_float64(self, capsys, tmp_path):
+        # e^800 and a lambda near the largest float: the axis saturates
+        # instead of overflowing, and every coordinate is finite
+        csv = tmp_path / "rows.csv"
+        csv.write_text("seed,lambda,log_lambda,M1,B1\n1,2.5,0.9,800,0.1\n"
+                       "2,1.7e308,709.7,0.5,0.2\n")
+        svg = tmp_path / "hist.svg"
+        code, out, err = run_cli(capsys, "plot", "--kind", "histogram",
+                                 "--input", str(csv), "--out", str(svg))
+        assert (code, err) == (0, "")
+        assert parse_checked(out)["report"]["points"] == 2
+        text = svg.read_text()
+        assert "inf" not in text and "nan" not in text
+        assert text.count('fill="steelblue"') == 2  # first and last bins
+
+
+class TestReadme:
+    def test_cli_examples_parse(self):
+        # every command in README's CLI block parses, so a renamed or
+        # removed flag fails here instead of leaving the docs stale
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [l.split("#", 1)[0].split() for l in block.splitlines()]
+        commands = [l for l in lines if l]
+        assert len(commands) >= 10
+        parser = cli.build_parser()
+        for argv in commands:
+            assert argv[0] == "ruelle-rand"
+            args = parser.parse_args(argv[1:])
+            assert args.func is not None

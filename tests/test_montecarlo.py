@@ -267,6 +267,20 @@ class TestAggregate:
                 f"overflows float64")):
             aggregate(cfg, rows, 0.0)
 
+    def test_verdicts_and_tightened_block(self, healthy_rows):
+        # the report carries its own verdicts and the tightened block, whose
+        # mean and stderr are the report's
+        cfg, rows = healthy_rows
+        rep = aggregate(cfg, rows, 0.0)
+        assert rep.tightened == tightened_upper_check(cfg, rows)
+        assert rep.mean_lambda == rep.tightened["mean_lambda"]
+        assert rep.stderr_lambda == rep.tightened["stderr_lambda"]
+        assert rep.bounds_ok is True and rep.expectation_band_ok is True
+        assert aggregate(replace(cfg, beta=2.0), rows,
+                         0.0).expectation_band_ok is None
+        failed = [replace(rows[0], converged=False), *rows[1:]]
+        assert aggregate(cfg, failed, 0.0).bounds_ok is False
+
     def test_wall_time_passthrough(self, healthy_rows):
         cfg, rows = healthy_rows
         rep = aggregate(cfg, rows, 1.5)

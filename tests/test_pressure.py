@@ -271,8 +271,15 @@ class TestQuenchedReport:
         assert pressure_band(B3, 0.0) == (0.0, math.log(6))
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            quenched_report([])
+        # no converged replica: no report, as for the other batches
+        assert quenched_report([]) is None
+        assert quenched_report([None, None]) is None
+
+    def test_unconverged_replicas_counted(self):
+        samples = [pressure_sample(*seeded(6, 200 + i)) for i in range(3)]
+        rep = quenched_report([None, samples[0], None, samples[1], samples[2]])
+        assert rep == {**quenched_report(samples), "n_failed": 2}
+        assert rep["n"] == 3
 
     def test_jensen_is_equality_for_constant_batch(self):
         L, r, g = seeded(6, 91)
