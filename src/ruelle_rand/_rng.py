@@ -39,18 +39,25 @@ def level_stream(seed: int, level: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# rekey's state, refilled in place: the Philox state setter copies every
+# entry out, and reads plain lists of ints faster than ndarrays
+_KEY = [0, 0]
+_STATE = {
+    "bit_generator": "Philox",
+    "state": {"counter": [0, 0, 0, 0], "key": _KEY},
+    "buffer": [0, 0, 0, 0],
+    "buffer_pos": 4,
+    "has_uint32": 0,
+    "uinteger": 0,
+}
+
+
 def rekey(stream: np.random.Generator, seed: int, level: int) -> None:
     """Restart stream, a Generator over Philox, as level_stream(seed, level):
     key (seed, level), counter 0, empty buffer. Assigning the state skips
     the OS entropy and SeedSequence that constructing a Philox draws and
-    discards, so one stream re-keyed per level is the cheap way through
-    the levels of one path."""
-    stream.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": np.array([seed & _MASK64, level], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    discards, so one generator re-keyed per (path, level) serves a whole
+    process."""
+    _KEY[0] = seed & _MASK64
+    _KEY[1] = level
+    stream.bit_generator.state = _STATE

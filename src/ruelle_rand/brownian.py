@@ -68,6 +68,22 @@ class PathStats:
     gamma: float
 
 
+# the process's one Philox generator, built on first use
+_stream = None
+
+
+def _keyed(seed: int, level: int) -> np.random.Generator:
+    """The process's one generator, keyed as level_stream(seed, level):
+    re-keying it costs a fraction of building a generator, so sample() and
+    refine() re-key it for each (path, level) they draw."""
+    global _stream
+    if _stream is None:
+        _stream = level_stream(seed, level)
+    else:
+        rekey(_stream, seed, level)
+    return _stream
+
+
 def _fill_level(old: np.ndarray, level: int, m: int,
                 stream: np.random.Generator | None) -> np.ndarray:
     """Bridge-fill the interior points taking level -> level + 1, with
@@ -115,15 +131,11 @@ def sample(level: int, alphabet: Alphabet = Alphabet(2), seed: int = 0,
     check_cells(level, alphabet)
     m = alphabet.m
     if zero_noise:
-        stream = None
         values = np.zeros(2)
     else:
-        # one Philox per path, re-keyed for each level
-        stream = level_stream(seed, 0)
-        values = np.array([0.0, stream.standard_normal()])
+        values = np.array([0.0, _keyed(seed, 0).standard_normal()])
     for l in range(level):
-        if stream is not None:
-            rekey(stream, seed, l + 1)
+        stream = None if zero_noise else _keyed(seed, l + 1)
         values = _fill_level(values, l, m, stream)
     return BrownianGrid(level, alphabet, values, seed, zero_noise)
 
@@ -132,7 +144,7 @@ def refine(grid: BrownianGrid) -> BrownianGrid:
     """One bridge refinement: same path, one level deeper."""
     check_cells(grid.level + 1, grid.alphabet)
     stream = (None if grid.zero_noise
-              else level_stream(grid.seed, grid.level + 1))
+              else _keyed(grid.seed, grid.level + 1))
     values = _fill_level(grid.values, grid.level, grid.alphabet.m, stream)
     return BrownianGrid(grid.level + 1, grid.alphabet, values, grid.seed,
                         grid.zero_noise)

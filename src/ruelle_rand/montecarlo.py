@@ -57,7 +57,6 @@ class ReplicaRow:
     m1: float
     b1: float
     iterations: int
-    residual: float
     converged: bool
     lower_ok: bool
     upper_ok: bool
@@ -110,29 +109,105 @@ def resolve_workers(workers: int | None = None) -> int:
     return workers
 
 
+def chunk_size(replicas: int, workers: int) -> int:
+    """Replicas per chunk of a work-shared map: about 16 chunks a worker,
+    so that the last chunk to finish keeps the others idle for a small
+    share of the batch."""
+    return max(1, replicas // (16 * workers))
+
+
+def _claim(counter, chunks: int) -> int | None:
+    """The next unclaimed chunk index, or None when none is left."""
+    with counter.get_lock():
+        chunk = counter.value
+        if chunk >= chunks:
+            return None
+        counter.value = chunk + 1
+    return chunk
+
+
+def _map_chunk(fn, config: ReplicaConfig, size: int, chunk: int) -> list:
+    stop = min((chunk + 1) * size, config.replicas)
+    return [fn((config, i)) for i in range(chunk * size, stop)]
+
+
+def _child(fn, config: ReplicaConfig, size: int, chunks: int, counter,
+           conn) -> None:
+    """A forked child's share: sends the parent (chunk, rows) for every
+    chunk it claims, or the exception that stopped it, after claiming the
+    rest so that the parent stops within one chunk."""
+    try:
+        done = []
+        while (chunk := _claim(counter, chunks)) is not None:
+            done.append((chunk, _map_chunk(fn, config, size, chunk)))
+    except BaseException as e:
+        counter.value = chunks
+        done = e
+    conn.send(done)
+
+
 def map_replicas(fn, config: ReplicaConfig, workers: int | None = None) -> list:
     """[fn((config, i)) for every replica index i], in index order for any
     worker count. The only replica loop: every batch runs through it.
 
-    The parent is one of the workers: it maps the first ceil(R / workers)
-    indices itself while a fork pool of at most workers - 1 children maps
-    the rest, forked before the parent computes anything.
+    Work sharing: the replicas are cut into chunks of chunk_size, and the
+    parent and up to workers - 1 forked children claim chunks from one
+    shared counter until none is left, so that every process stays busy
+    until the batch's last chunk. The parent claims chunk 0 before it forks
+    the children, and forks them before it computes anything; rows are put
+    back in chunk order. A child's exception claims the remaining chunks
+    and is raised in the parent, which stops within one chunk of it; a
+    child that dies raises RuntimeError; an exception in the parent ends
+    the children. A batch of one chunk, or one worker, runs in the parent
+    alone and never loads multiprocessing.
     """
     workers = resolve_workers(workers)
-    args = [(config, i) for i in range(config.replicas)]
-    own = -(-len(args) // workers)
-    if own >= len(args):
-        return [fn(a) for a in args]
+    size = chunk_size(config.replicas, workers)
+    chunks = -(-config.replicas // size)
+    if workers == 1 or chunks == 1:
+        return _map_chunk(fn, config, config.replicas, 0)
     # imported here so a serial run never loads multiprocessing
     from multiprocessing import get_context
 
-    rest = args[own:]
-    children = min(workers - 1, len(rest))
-    chunk = max(1, len(rest) // (4 * children))
-    with get_context("fork").Pool(children) as pool:
-        pending = pool.map_async(fn, rest, chunksize=chunk)
-        rows = [fn(a) for a in args[:own]]
-        return rows + pending.get()
+    ctx = get_context("fork")
+    counter = ctx.Value("q", 1)  # chunk 0 is the parent's
+    children = []
+    rows = [None] * chunks
+    try:
+        for _ in range(min(workers - 1, chunks - 1)):
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_child, args=(fn, config, size, chunks,
+                                                     counter, send))
+            child.start()
+            send.close()
+            children.append((child, recv))
+        chunk = 0
+        while chunk is not None:
+            rows[chunk] = _map_chunk(fn, config, size, chunk)
+            # a child exits with chunks unclaimed only when it failed
+            if any(child.exitcode is not None for child, _ in children):
+                break
+            chunk = _claim(counter, chunks)
+        for child, recv in children:
+            try:
+                done = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"a replica worker died with exit code "
+                                   f"{child.exitcode}") from None
+            if isinstance(done, BaseException):
+                raise done
+            for chunk, part in done:
+                rows[chunk] = part
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, recv in children:
+            child.join()
+            recv.close()
+    return [row for part in rows for row in part]
 
 
 def replica_operator(config: ReplicaConfig, i: int):
@@ -168,7 +243,6 @@ def _replica_row(arg: tuple[ReplicaConfig, int]) -> ReplicaRow:
         m1=m1,
         b1=float(grid.values[-1]),
         iterations=res.iterations,
-        residual=res.residual,
         converged=res.converged,
         lower_ok=bounds["lower_ok"],
         upper_ok=bounds["upper_ok"],

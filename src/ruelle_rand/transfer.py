@@ -14,13 +14,15 @@ identity at the all-zeros word exact at every finite depth.
 Because Lf depends only on k // m, the Perron solve runs on the m^(n-1)
 quotient words, as does log L e^g for a g constant over the last letter
 (_log_apply). power_iterate, the one solve, gives lambda, log lambda and
-h from one core run. The eigenmeasure nu is never solved for, since every entry of L^n is at least e^(n min phi) and that
-bounds nu below through lambda alone (SpectralResult.log_floor).
+the quotient logs of h from one core run; h and the residual are formed
+from those logs only where a caller reads them. The eigenmeasure nu is
+never solved for, since every entry of L^n is at least e^(n min phi) and
+that bounds nu below through lambda alone (SpectralResult.log_floor).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,6 +88,28 @@ class TransferOperator:
         return np.repeat(G.reshape(m, -1).sum(axis=0), m)
 
 
+class _OnFirstRead:
+    """A SpectralResult field that power_iterate leaves unformed (None): the
+    first read forms it with the result's _form_<name>() and keeps it. A
+    value passed in, as dataclasses.replace passes every field, is kept as
+    given."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None  # the field's default
+        value = obj.__dict__[self.name]
+        if value is None:
+            value = getattr(obj, f"_form_{self.name}")()
+            obj.__dict__[self.name] = value
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class SpectralResult:
     """Right Perron data of one operator. eigenvalue/log_eigenvalue are the
@@ -103,19 +127,40 @@ class SpectralResult:
     nu[w] (sum nu = 1) and h[w] / sum(h) above e^(log_floor). It is formed
     in logs, so it is finite for every converged solve.
 
-    spectrum reports lambda, h and the residual; montecarlo's positivity
-    check reads h and log_floor; pressure and refine-study read
-    log_eigenvalue.
+    h and the residual are formed from the quotient logs log H of the solve
+    on first read, so that a caller pays only for what it reads: spectrum
+    reports lambda, h and the residual; montecarlo's positivity check reads
+    h and log_floor; pressure and refine-study read log_eigenvalue. h is
+    exponentiated in the logs' own buffer once the residual is formed, so
+    spectrum forms the residual first and holds no extra vector.
     """
 
     eigenvalue: float
     log_eigenvalue: float
-    h: CylinderFunction
     iterations: int
-    residual: float
     converged: bool
     bracket: tuple[float, float]
     log_floor: float
+    h: CylinderFunction = _OnFirstRead()
+    residual: float = _OnFirstRead()
+    _log_h: np.ndarray | None = field(default=None, repr=False)
+    _operator: TransferOperator | None = field(default=None, repr=False)
+
+    def _form_residual(self) -> float:
+        return _residual(self._operator, self._log_h, self.log_eigenvalue)
+
+    def _form_h(self) -> CylinderFunction:
+        L, logH = self._operator, self._log_h
+        if self.__dict__["residual"] is None:
+            logH = logH.copy()  # the residual is still to be formed from it
+        else:
+            object.__setattr__(self, "_log_h", None)
+        # h = exp(logH - logH[0]); past float64 an entry is inf, as lambda
+        # is: the values report it, not a warning
+        logH -= logH[0]
+        with np.errstate(over="ignore"):
+            h = np.repeat(np.exp(logH, out=logH), L.alphabet.m)
+        return CylinderFunction(L.level, L.alphabet, h)
 
 
 def build_potential(grid: BrownianGrid, beta: float) -> PotentialField:
@@ -138,7 +183,7 @@ def _scaled_weights(phi3: np.ndarray, psi: np.ndarray | None):
     m, inner, last = phi3.shape
     E = phi3.transpose(0, 2, 1).copy()
     if psi is not None:
-        E += np.broadcast_to(psi.reshape(-1, inner), (m, inner))[:, None, :]
+        E += _heads(psi, m, inner)[:, None, :]
         E -= psi.reshape(inner, last).T
     c = float(E.max())
     E -= c
@@ -151,6 +196,15 @@ def _by_head(phi: np.ndarray, m: int, n: int) -> np.ndarray:
     and no last letter."""
     inner, last = (m ** (n - 2), m) if n > 1 else (1, 1)
     return phi.reshape(m, inner, last)
+
+
+def _heads(v: np.ndarray, m: int, inner: int) -> np.ndarray:
+    """A quotient vector v as heads[a, j] = v[a j]: a plain view from depth
+    2 on, and at depth 1, where the one empty head serves every letter a, a
+    broadcast."""
+    if v.size == m * inner:
+        return v.reshape(m, inner)
+    return np.broadcast_to(v.reshape(1, inner), (m, inner))
 
 
 def _plans(W: np.ndarray, F: np.ndarray, S: np.ndarray):
@@ -166,7 +220,7 @@ def _plans(W: np.ndarray, F: np.ndarray, S: np.ndarray):
     ratio = np.empty(block * last)
     plans = []
     for src, dst in ((F, S), (S, F)):
-        heads = np.broadcast_to(src.reshape(-1, inner), (m, inner))
+        heads = _heads(src, m, inner)
         out = dst.reshape(inner, last)
         plan = []
         for j0 in range(0, inner, block):
@@ -286,37 +340,30 @@ def power_iterate(L: TransferOperator,
                   max_iters: int = DEFAULT_MAX_ITERS) -> SpectralResult:
     """Perron eigendata, certified by the Collatz-Wielandt bracket.
 
-    One run of the quotient core gives lambda, its bracket and h; it stops
-    when the bracket's relative width is <= DEFAULT_TOL or after max_iters
-    applications. h and Lh are constant over the last letter, so the
-    residual is formed on the m^(n-1) quotient words and only h is repeated
-    to depth n.
+    One run of the quotient core gives lambda, its bracket and the logs of
+    h; it stops when the bracket's relative width is <= DEFAULT_TOL or
+    after max_iters applications. h and Lh are constant over the last
+    letter, so the residual is formed on the m^(n-1) quotient words and
+    only h is repeated to depth n, each on its first read.
 
     Non-convergence is reported through the converged flag, never raised:
     replica batches must see the failure, not die on it. Every solve of
     the CLI runs here.
     """
-    m = L.alphabet.m
     logH, c, lo, hi, iters, ok, _ = _perron_core(
-        L.potential.phi, m, L.level, max_iters)
+        L.potential.phi, L.alphabet.m, L.level, max_iters)
     lam, llam, bracket = _eigenvalue(c, lo, hi)
-    residual = _residual(L, logH, llam)
-    # h = exp(logH - logH[0]) in logH's own buffer; past float64 an entry
-    # is inf, as lambda is: the values report it, not a warning
-    logH -= logH[0]
-    with np.errstate(over="ignore"):
-        h = np.repeat(np.exp(logH, out=logH), m)
     # a core that stopped without a finite bracket gets floor -inf
     log_hi = c + float(np.log(hi)) if hi > 0 else np.inf
     return SpectralResult(
         eigenvalue=lam,
         log_eigenvalue=llam,
-        h=CylinderFunction(L.level, L.alphabet, h),
         iterations=iters,
-        residual=residual,
         converged=ok,
         bracket=bracket,
         log_floor=L.level * (float(L.potential.phi.min()) - log_hi),
+        _log_h=logH,
+        _operator=L,
     )
 
 
@@ -350,7 +397,7 @@ def _log_apply(L: TransferOperator, G: np.ndarray, shift: float):
     """
     phi3 = _by_head(L.potential.phi, L.alphabet.m, L.level)
     m, inner, last = phi3.shape
-    heads = np.broadcast_to(G.reshape(-1, inner), (m, inner))
+    heads = _heads(G, m, inner)
     block = min(_BLOCK_HEADS, inner)
     buf = np.empty(m * block * last)
     for j0 in range(0, inner, block):
@@ -371,6 +418,9 @@ def ratio_representation(L: TransferOperator, result: SpectralResult) -> float:
     This is the eigen-equation at the all-zeros word, so it reproduces the
     eigenvalue exactly up to the iteration tolerance at every finite depth.
     beta B_{a/m} is phi[a 0^{n-1}], the same product build_potential forms.
+    Where exp(beta B_{a/m}) overflows, its term is formed in logs instead,
+    exp(beta B_{a/m} + log h[a 0^{n-1}] - log h[0^n]), which is finite
+    wherever the term and h are.
     """
     m = L.alphabet.m
     phi = L.potential.phi
@@ -378,7 +428,15 @@ def ratio_representation(L: TransferOperator, result: SpectralResult) -> float:
     block = m ** (L.level - 1)
     total = 1.0
     for a in range(1, m):
-        total += np.exp(phi[a * block]) * h[a * block] / h[0]
+        p, ha = phi[a * block], h[a * block]
+        with np.errstate(over="ignore"):
+            weight = np.exp(p)
+        if weight < np.inf:
+            total += weight * ha / h[0]
+        else:
+            # an h entry of 0 makes a term of 0; past float64 a term is inf
+            with np.errstate(over="ignore", divide="ignore"):
+                total += np.exp(p + np.log(ha) - np.log(h[0]))
     return float(total)
 
 

@@ -23,8 +23,9 @@ from ruelle_rand.cli import dispatch
 from ruelle_rand.pressure import birkhoff_pressure
 from ruelle_rand.report import schema_text
 from ruelle_rand.symbolic import Alphabet
-from ruelle_rand.transfer import (TransferOperator, build_potential,
-                                  power_iterate)
+from ruelle_rand.transfer import (DEFAULT_MAX_ITERS, TransferOperator,
+                                  _eigenvalue, _perron_core, _residual,
+                                  build_potential, power_iterate)
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -110,6 +111,39 @@ print(json.dumps([m for m in ("importlib.resources",) if m in sys.modules]))
 """
 
 
+# What a fresh process has loaded after a serial montecarlo and pressure run.
+SERIAL_PROBE = """\
+import contextlib, io, json, sys
+from ruelle_rand.cli import dispatch
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [dispatch([cmd, "--level", "5", "--replicas", "8",
+                       "--workers", "1"]) for cmd in ("montecarlo", "pressure")]
+print(json.dumps({"codes": codes,
+                  "loaded": [m for m in ("multiprocessing",
+                                         "concurrent.futures")
+                             if m in sys.modules]}))
+"""
+
+
+# A montecarlo batch at two workers whose child dies on its first row, while
+# the parent's rows wait long enough for the child to start and claim one.
+DEAD_CHILD = """\
+import os, sys, time
+from ruelle_rand import cli, montecarlo
+parent, row = os.getpid(), montecarlo._replica_row
+
+def dying(arg):
+    if os.getpid() != parent:
+        os._exit(3)
+    time.sleep(0.2)
+    return row(arg)
+
+montecarlo._replica_row = dying
+sys.exit(cli.dispatch(["montecarlo", "--level", "4", "--replicas", "8",
+                       "--workers", "2"]))
+"""
+
+
 def startup_probe(**env) -> dict:
     base = {k: v for k, v in os.environ.items()
             if k != "OPENBLAS_NUM_THREADS"}
@@ -127,6 +161,12 @@ class TestStartup:
         if probe["threads"] is None:
             pytest.skip("no /proc/self/task to count threads")
         assert probe["threads"] == 1
+
+    def test_serial_batch_starts_no_pool(self):
+        out = subprocess.run([sys.executable, "-c", SERIAL_PROBE],
+                             capture_output=True, text=True, timeout=60,
+                             env=dict(os.environ, PYTHONPATH=SRC), check=True)
+        assert json.loads(out.stdout) == {"codes": [0, 0], "loaded": []}
 
     def test_explicit_blas_threads_kept(self):
         assert startup_probe(OPENBLAS_NUM_THREADS="3")["blas_threads"] == "3"
@@ -501,6 +541,20 @@ class TestSpectrum:
         assert rep["ratio_identity_gap"] <= 1e-11
         assert rep["pathwise_bounds"] == {"lower_ok": True, "upper_ok": True}
 
+    @pytest.mark.parametrize("beta", ["0", "1", "10", "700"])
+    def test_residual_is_the_quotient_residual(self, capsys, beta):
+        # formed where spectrum reads it, from the core's own logs
+        code, out, _ = run_cli(capsys, "spectrum", "--level", "8", "--seed",
+                               "2", "--beta", beta)
+        rep = parse_checked(out)["report"]
+        grid = brownian.sample(8, Alphabet(2), 2)
+        L = TransferOperator(build_potential(grid, float(beta)))
+        logH, c, lo, hi, *_ = _perron_core(L.potential.phi, 2, 8,
+                                           DEFAULT_MAX_ITERS)
+        llam = _eigenvalue(c, lo, hi)[1]
+        assert code == 0
+        assert rep["residual"] == _residual(L, logH, llam)
+
     def test_beta_warning_with_zero_noise(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--level", "4",
                                "--zero-noise", "--beta", "2.0")
@@ -735,8 +789,9 @@ class TestMontecarlo:
     ], ids=["montecarlo", "refine-study", "pressure"])
     def test_worker_count_does_not_change_report(self, capsys, argv):
         _, out1, _ = run_cli(capsys, *argv, "--workers", "1")
-        _, out2, _ = run_cli(capsys, *argv, "--workers", "2")
-        assert json.loads(out1)["report"] == json.loads(out2)["report"]
+        for workers in ("2", "3"):
+            _, out2, _ = run_cli(capsys, *argv, "--workers", workers)
+            assert json.loads(out1)["report"] == json.loads(out2)["report"]
 
     def test_all_replicas_failed(self, capsys, monkeypatch):
         solve = montecarlo.power_iterate
@@ -817,6 +872,31 @@ class TestMontecarlo:
         assert line.startswith("error: replica 8 ")
         assert "log_lambda = 751.78" in line
         assert line.endswith("overflows float64")
+
+    def test_ratio_term_fits_past_the_weight_overflow(self, capsys):
+        # in process, under the suite's filter: replica 2 has beta B_{1/2} =
+        # 861 and h[1 0^7] = 5.3e-123, a term that fits though e^861 does
+        # not; the batch then stops on replica 13's lambda, with its reason
+        code, out, err = run_cli(capsys, "montecarlo", "--level", "8",
+                                 "--replicas", "16", "--beta", "700",
+                                 "--seed", "5")
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: replica 13 ")
+        assert line.endswith("overflows float64")
+        cfg = montecarlo.ReplicaConfig(level=8, beta=700.0, master_seed=5,
+                                       replicas=16)
+        row = montecarlo._replica_row((cfg, 2))
+        assert row.converged and row.ratio_gap <= 1e-11
+
+    def test_dead_child_fails_the_batch(self):
+        # a fresh interpreter and its one child: the batch exits 1 naming
+        # the child's exit, where a lost task once left it waiting for good
+        out = subprocess.run([sys.executable, "-c", DEAD_CHILD],
+                             capture_output=True, text=True, timeout=60,
+                             env=dict(os.environ, PYTHONPATH=SRC))
+        assert (out.returncode, out.stdout) == (1, "")
+        assert out.stderr == "error: a replica worker died with exit code 3\n"
 
     def test_overflowing_stderr_names_the_statistic(self, capsys):
         # every lambda fits (the largest is e^616.73), but the spread of

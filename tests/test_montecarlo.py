@@ -1,7 +1,10 @@
 import math
+import multiprocessing
 import os
 import sys
+import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ import pytest
 from ruelle_rand import brownian, transfer
 from ruelle_rand._rng import derive_seed
 from ruelle_rand.montecarlo import (ReplicaConfig, _replica_row, aggregate,
-                                    map_replicas, pressure_row,
+                                    chunk_size, map_replicas, pressure_row,
                                     refinement_study, replica_operator,
                                     resolve_workers, run, run_replicas,
                                     tightened_upper_check)
@@ -25,9 +28,29 @@ B2 = Alphabet(2)
 
 
 def _pid_row(arg):
-    """The process that mapped the replica (module level, so a pool can
-    run it)."""
+    """The process that mapped the replica."""
     return os.getpid()
+
+
+def _skewed_row(arg):
+    """The replica's index, after a wait that is longest on the lowest
+    indices: the chunks claimed first finish last."""
+    _, i = arg
+    time.sleep(max(0, 24 - i) * 2e-4)
+    return i
+
+
+def _failing_row(parent, side, log, arg):
+    """The replica's index after a short wait, logged by the process that
+    mapped it; raises on side ("parent" or "child") past replica 0."""
+    _, i = arg
+    here = "parent" if os.getpid() == parent else "child"
+    if here == side and i > 0:
+        raise ValueError(f"row {i} failed in the {side}")
+    with open(log, "a") as fh:
+        fh.write(f"{here} {i}\n")
+    time.sleep(0.02)
+    return i
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +122,8 @@ class TestReplicaRow:
         row = _replica_row((cfg, 0))
         assert row.eigenvalue == 2.0
         assert row.converged
-        assert row.residual == 0.0
+        # rows carry no residual: the solve's own, on the same replica
+        assert power_iterate(replica_operator(cfg, 0)[2]).residual == 0.0
         assert row.lower_ok and row.upper_ok and row.positive_ok
         assert row.ratio_gap == 0.0
 
@@ -135,7 +159,7 @@ class TestReplicaRow:
         row = _replica_row((replace(cfg, max_iters=right), 0))
         assert row.converged
         assert row.iterations == right
-        assert row.residual <= 1e-11
+        assert power_iterate(L, right).residual <= 1e-11
 
     def test_iterations_count_both_solves(self, core_runs):
         # Each solve counts its own core run; a row runs the right one once.
@@ -190,6 +214,30 @@ class TestDeterminism:
         # the parent maps the first share of indices itself
         assert pids[0] == os.getpid()
         assert len(set(pids)) <= min(workers, replicas)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_skewed_rows_come_back_in_index_order(self, workers):
+        # 101 replicas: no chunk size at two or three workers divides them
+        cfg = ReplicaConfig(level=4, replicas=101)
+        assert cfg.replicas % chunk_size(cfg.replicas, workers) != 0
+        assert map_replicas(_skewed_row, cfg, workers) == list(range(101))
+
+    @pytest.mark.parametrize("side", ["parent", "child"])
+    def test_failure_stops_the_other_side(self, tmp_path, side):
+        # 64 replicas in chunks of 2; a failure on one side stops the other
+        # within a chunk, long before it could map the rest, and no child
+        # is left running
+        log = tmp_path / "rows.log"
+        log.touch()
+        cfg = ReplicaConfig(level=4, replicas=64)
+        fn = partial(_failing_row, os.getpid(), side, str(log))
+        with pytest.raises(ValueError, match=f"failed in the {side}"):
+            map_replicas(fn, cfg, 2)
+        assert multiprocessing.active_children() == []
+        other = "child" if side == "parent" else "parent"
+        mapped = [l for l in log.read_text().splitlines()
+                  if l.startswith(other)]
+        assert len(mapped) < 32
 
     def test_report_independent_of_workers(self):
         cfg = ReplicaConfig(level=8, beta=1.0, master_seed=7, replicas=16)
