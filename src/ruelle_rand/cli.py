@@ -144,8 +144,6 @@ def _cmd_spectrum(args) -> int:
     res = power_iterate(L)
     if math.isinf(res.eigenvalue):
         raise ValueError(lambda_overflow(res.log_eigenvalue))
-    # formed before h, which then takes the logs' buffer (SpectralResult)
-    residual = res.residual
     ratio = ratio_representation(L, res)
     gap = abs(ratio - res.eigenvalue) / res.eigenvalue
     bounds = pathwise_bounds(L, res, m1)
@@ -158,7 +156,7 @@ def _cmd_spectrum(args) -> int:
         "lambda": res.eigenvalue,
         "log_lambda": res.log_eigenvalue,
         "iterations": res.iterations,
-        "residual": residual,
+        "residual": res.residual,
         "cw_bracket": list(res.bracket),
         "converged": res.converged,
         "ratio_identity_gap": gap,

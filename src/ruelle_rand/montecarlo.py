@@ -25,7 +25,7 @@ from .pressure import PressureSample, mean_stderr, pressure_sample
 from .symbolic import Alphabet
 from .transfer import (DEFAULT_MAX_ITERS, TransferOperator,
                        build_potential, lambda_overflow, pathwise_bounds,
-                       power_iterate, ratio_representation)
+                       power_iterate)
 
 WORKERS_ENV = "RUELLE_RAND_WORKERS"
 
@@ -62,7 +62,6 @@ class ReplicaRow:
     upper_ok: bool
     positive_ok: bool
     log_floor: float
-    ratio_gap: float
 
 
 @dataclass(frozen=True)
@@ -224,17 +223,14 @@ def _replica_row(arg: tuple[ReplicaConfig, int]) -> ReplicaRow:
     res = power_iterate(L, config.max_iters)
     if res.converged:
         bounds = pathwise_bounds(L, res, m1)
-        # h > 0 as computed, and nu > 0 certified by lambda's bracket alone
-        positive = bool(np.all(res.h.values > 0)
+        # h > 0 as computed (its least entry is exp(min log H - log H[0])),
+        # and nu > 0 certified by lambda's bracket alone
+        log_h = res.log_h
+        positive = bool(np.exp(log_h.min() - log_h[0]) > 0
                         and math.isfinite(res.log_floor))
-        ratio_gap = math.inf  # lambda past float64: aggregate refuses it
-        if math.isfinite(res.eigenvalue):
-            ratio = ratio_representation(L, res)
-            ratio_gap = abs(ratio - res.eigenvalue) / res.eigenvalue
     else:
         bounds = {"lower_ok": False, "upper_ok": False}
         positive = False
-        ratio_gap = math.inf
     return ReplicaRow(
         index=i,
         seed=seed,
@@ -248,7 +244,6 @@ def _replica_row(arg: tuple[ReplicaConfig, int]) -> ReplicaRow:
         upper_ok=bounds["upper_ok"],
         positive_ok=positive,
         log_floor=res.log_floor,
-        ratio_gap=ratio_gap,
     )
 
 

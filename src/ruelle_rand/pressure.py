@@ -33,7 +33,6 @@ class PressureSample:
 
     log_lambda: float
     variational_lb: float
-    bernoulli_p: float
     slack: float
 
 
@@ -175,11 +174,10 @@ def variational_slack(grid: BrownianGrid, beta: float) -> float:
 def pressure_sample(L: TransferOperator, result: SpectralResult,
                     grid: BrownianGrid) -> PressureSample:
     """Assemble one replica's PressureSample from its converged eigenvalue."""
-    lb, p = bernoulli_lower_bound(L.potential)
+    lb, _ = bernoulli_lower_bound(L.potential)
     return PressureSample(
         log_lambda=result.log_eigenvalue,
         variational_lb=lb,
-        bernoulli_p=p,
         slack=variational_slack(grid, L.potential.beta),
     )
 

@@ -23,6 +23,7 @@ that bounds nu below through lambda alone (SpectralResult.log_floor).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -88,28 +89,6 @@ class TransferOperator:
         return np.repeat(G.reshape(m, -1).sum(axis=0), m)
 
 
-class _OnFirstRead:
-    """A SpectralResult field that power_iterate leaves unformed (None): the
-    first read forms it with the result's _form_<name>() and keeps it. A
-    value passed in, as dataclasses.replace passes every field, is kept as
-    given."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return None  # the field's default
-        value = obj.__dict__[self.name]
-        if value is None:
-            value = getattr(obj, f"_form_{self.name}")()
-            obj.__dict__[self.name] = value
-        return value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.name] = value
-
-
 @dataclass(frozen=True)
 class SpectralResult:
     """Right Perron data of one operator. eigenvalue/log_eigenvalue are the
@@ -127,12 +106,13 @@ class SpectralResult:
     nu[w] (sum nu = 1) and h[w] / sum(h) above e^(log_floor). It is formed
     in logs, so it is finite for every converged solve.
 
-    h and the residual are formed from the quotient logs log H of the solve
-    on first read, so that a caller pays only for what it reads: spectrum
-    reports lambda, h and the residual; montecarlo's positivity check reads
-    h and log_floor; pressure and refine-study read log_eigenvalue. h is
-    exponentiated in the logs' own buffer once the residual is formed, so
-    spectrum forms the residual first and holds no extra vector.
+    log_h holds log H, the solve's logs of h on the m^(n-1) quotient words
+    (h[w] = H[k // m] / H[0] at the word w of index k), and is read-only:
+    h and the residual are formed from it on first read, in either order,
+    so that a caller pays only for what it reads. spectrum reports lambda,
+    h and the residual; montecarlo rows read log_h and log_floor for
+    positivity, and form neither h nor the ratio identity; pressure and
+    refine-study read log_eigenvalue.
     """
 
     eigenvalue: float
@@ -141,26 +121,22 @@ class SpectralResult:
     converged: bool
     bracket: tuple[float, float]
     log_floor: float
-    h: CylinderFunction = _OnFirstRead()
-    residual: float = _OnFirstRead()
-    _log_h: np.ndarray | None = field(default=None, repr=False)
-    _operator: TransferOperator | None = field(default=None, repr=False)
+    log_h: np.ndarray = field(repr=False, compare=False)
+    _operator: TransferOperator = field(repr=False, compare=False)
 
-    def _form_residual(self) -> float:
-        return _residual(self._operator, self._log_h, self.log_eigenvalue)
-
-    def _form_h(self) -> CylinderFunction:
-        L, logH = self._operator, self._log_h
-        if self.__dict__["residual"] is None:
-            logH = logH.copy()  # the residual is still to be formed from it
-        else:
-            object.__setattr__(self, "_log_h", None)
-        # h = exp(logH - logH[0]); past float64 an entry is inf, as lambda
-        # is: the values report it, not a warning
-        logH -= logH[0]
+    @cached_property
+    def h(self) -> CylinderFunction:
+        L = self._operator
+        # past float64 an entry is inf, as lambda is: the values report it,
+        # not a warning
+        H = self.log_h - self.log_h[0]
         with np.errstate(over="ignore"):
-            h = np.repeat(np.exp(logH, out=logH), L.alphabet.m)
-        return CylinderFunction(L.level, L.alphabet, h)
+            np.exp(H, out=H)
+        return CylinderFunction(L.level, L.alphabet, np.repeat(H, L.alphabet.m))
+
+    @cached_property
+    def residual(self) -> float:
+        return _residual(self._operator, self.log_h, self.log_eigenvalue)
 
 
 def build_potential(grid: BrownianGrid, beta: float) -> PotentialField:
@@ -352,6 +328,7 @@ def power_iterate(L: TransferOperator,
     """
     logH, c, lo, hi, iters, ok, _ = _perron_core(
         L.potential.phi, L.alphabet.m, L.level, max_iters)
+    logH.setflags(write=False)
     lam, llam, bracket = _eigenvalue(c, lo, hi)
     # a core that stopped without a finite bracket gets floor -inf
     log_hi = c + float(np.log(hi)) if hi > 0 else np.inf
@@ -362,7 +339,7 @@ def power_iterate(L: TransferOperator,
         converged=ok,
         bracket=bracket,
         log_floor=L.level * (float(L.potential.phi.min()) - log_hi),
-        _log_h=logH,
+        log_h=logH,
         _operator=L,
     )
 
@@ -417,26 +394,24 @@ def ratio_representation(L: TransferOperator, result: SpectralResult) -> float:
 
     This is the eigen-equation at the all-zeros word, so it reproduces the
     eigenvalue exactly up to the iteration tolerance at every finite depth.
-    beta B_{a/m} is phi[a 0^{n-1}], the same product build_potential forms.
-    Where exp(beta B_{a/m}) overflows, its term is formed in logs instead,
-    exp(beta B_{a/m} + log h[a 0^{n-1}] - log h[0^n]), which is finite
-    wherever the term and h are.
+    beta B_{a/m} is phi[a 0^{n-1}], the same product build_potential forms,
+    and h[a 0^{n-1}] / h[0^n] is exp of d = log H[a 0^{n-2}] - log H[0^{n-1}]
+    from result.log_h. A term is exp(beta B_{a/m}) exp(d) where both factors
+    fit float64, and exp(beta B_{a/m} + d) otherwise, so it is finite
+    wherever the term is.
     """
     m = L.alphabet.m
-    phi = L.potential.phi
-    h = result.h.values
+    phi, log_h = L.potential.phi, result.log_h
     block = m ** (L.level - 1)
     total = 1.0
     for a in range(1, m):
-        p, ha = phi[a * block], h[a * block]
+        p, d = phi[a * block], log_h[a * block // m] - log_h[0]
         with np.errstate(over="ignore"):
-            weight = np.exp(p)
-        if weight < np.inf:
-            total += weight * ha / h[0]
-        else:
-            # an h entry of 0 makes a term of 0; past float64 a term is inf
-            with np.errstate(over="ignore", divide="ignore"):
-                total += np.exp(p + np.log(ha) - np.log(h[0]))
+            weight, ratio = np.exp(p), np.exp(d)
+            if weight < np.inf and ratio < np.inf:
+                total += weight * ratio
+            else:
+                total += np.exp(p + d)
     return float(total)
 
 

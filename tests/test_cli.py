@@ -25,7 +25,8 @@ from ruelle_rand.report import schema_text
 from ruelle_rand.symbolic import Alphabet
 from ruelle_rand.transfer import (DEFAULT_MAX_ITERS, TransferOperator,
                                   _eigenvalue, _perron_core, _residual,
-                                  build_potential, power_iterate)
+                                  build_potential, power_iterate,
+                                  ratio_representation)
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -541,6 +542,27 @@ class TestSpectrum:
         assert rep["ratio_identity_gap"] <= 1e-11
         assert rep["pathwise_bounds"] == {"lower_ok": True, "upper_ok": True}
 
+    def test_ratio_term_fits_where_h_overflows(self, capsys, tmp_path):
+        # in process, under the suite's filter: lambda = e^600.8 fits, but
+        # h[1 0^7] = e^840.8 does not; the term e^-240.2 h[1 0^7] is formed
+        # from log h, so the ratio identity is reported, while the CSV of h
+        # stops at its first entry past float64
+        argv = ("spectrum", "--level", "8", "--beta", "700", "--seed",
+                "13877614986023876344")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        rep = parse_checked(out)["report"]
+        assert rep["log_lambda"] == pytest.approx(600.81, abs=0.01)
+        assert rep["ratio_identity_gap"] <= 1e-11
+        csv = tmp_path / "h.csv"
+        code, out, err = run_cli(capsys, *argv, "--emit-eigenfunction",
+                                 str(csv))
+        assert (code, out) == (1, "")
+        assert err == "error: non-finite number in report: inf\n"
+        header, *rows = csv.read_text().splitlines()
+        assert header == "word,t,h" and 0 < len(rows) < 256
+        assert all(math.isfinite(float(r.split(",")[2])) for r in rows)
+
     @pytest.mark.parametrize("beta", ["0", "1", "10", "700"])
     def test_residual_is_the_quotient_residual(self, capsys, beta):
         # formed where spectrum reads it, from the core's own logs
@@ -810,11 +832,11 @@ class TestMontecarlo:
 
         def zero_last(L, *a):
             res = solve(L, *a)
-            h = res.h.values.copy()
+            log_h = res.log_h.copy()
             if not calls:
-                h[-1] = 0.0  # a word no other check reads
+                log_h[-1] = -np.inf  # h = 0 on words no other check reads
             calls.append(1)
-            return replace(res, h=replace(res.h, values=h))
+            return replace(res, log_h=log_h)
         argv = ("montecarlo", "--level", "6", "--replicas", "3",
                 "--workers", "1")
         assert run_cli(capsys, *argv)[0] == 0  # the unpatched batch passes
@@ -886,8 +908,11 @@ class TestMontecarlo:
         assert line.endswith("overflows float64")
         cfg = montecarlo.ReplicaConfig(level=8, beta=700.0, master_seed=5,
                                        replicas=16)
-        row = montecarlo._replica_row((cfg, 2))
-        assert row.converged and row.ratio_gap <= 1e-11
+        L = montecarlo.replica_operator(cfg, 2)[2]
+        res = power_iterate(L)
+        ratio = ratio_representation(L, res)
+        assert res.converged
+        assert abs(ratio - res.eigenvalue) / res.eigenvalue <= 1e-11
 
     def test_dead_child_fails_the_batch(self):
         # a fresh interpreter and its one child: the batch exits 1 naming

@@ -9,7 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from ruelle_rand import brownian, transfer
+from ruelle_rand import brownian, montecarlo, transfer
 from ruelle_rand._rng import derive_seed
 from ruelle_rand.montecarlo import (ReplicaConfig, _replica_row, aggregate,
                                     chunk_size, map_replicas, pressure_row,
@@ -19,7 +19,7 @@ from ruelle_rand.montecarlo import (ReplicaConfig, _replica_row, aggregate,
 from ruelle_rand.pressure import pressure_sample
 from ruelle_rand.transfer import (DEFAULT_MAX_ITERS, TransferOperator,
                                   _perron_core, build_potential,
-                                  power_iterate)
+                                  power_iterate, ratio_representation)
 from ruelle_rand.symbolic import Alphabet
 
 from oracles import _reverse, eigenmeasure
@@ -122,10 +122,13 @@ class TestReplicaRow:
         row = _replica_row((cfg, 0))
         assert row.eigenvalue == 2.0
         assert row.converged
-        # rows carry no residual: the solve's own, on the same replica
-        assert power_iterate(replica_operator(cfg, 0)[2]).residual == 0.0
+        # rows carry no residual or ratio identity: the solve's own, on the
+        # same replica
+        L = replica_operator(cfg, 0)[2]
+        res = power_iterate(L)
+        assert res.residual == 0.0
         assert row.lower_ok and row.upper_ok and row.positive_ok
-        assert row.ratio_gap == 0.0
+        assert ratio_representation(L, res) == res.eigenvalue
 
     def test_seed_derivation_and_path_fields(self):
         cfg = ReplicaConfig(level=7, beta=1.0, master_seed=40, replicas=3)
@@ -143,7 +146,30 @@ class TestReplicaRow:
         assert core_runs == [5]
         assert not row.converged
         assert row.iterations == 5
-        assert not row.positive_ok and row.ratio_gap == math.inf
+        assert not row.positive_ok
+
+    def test_positivity_from_log_h_agrees_with_h(self, monkeypatch):
+        # rows decide h > 0 from log_h; on these paths h has entries below
+        # e^-745, which are 0 in float64, and both ways agree on every
+        # converged solve
+        solve, solves = montecarlo.power_iterate, []
+
+        def recorded(L, *a):
+            solves.append(solve(L, *a))
+            return solves[-1]
+        monkeypatch.setattr(montecarlo, "power_iterate", recorded)
+        zero_h = 0
+        for beta in (300.0, 500.0, 700.0, 1000.0):
+            del solves[:]
+            cfg = ReplicaConfig(level=8, beta=beta, master_seed=5,
+                                replicas=32)
+            for row, res in zip(run_replicas(cfg, workers=1), solves):
+                if res.converged:
+                    h_positive = bool(np.all(res.h.values > 0))
+                    zero_h += not h_positive
+                    assert row.positive_ok == (
+                        h_positive and math.isfinite(res.log_floor))
+        assert zero_h == 13
 
     def test_unconverged_reversed_solve_is_flagged(self):
         # The reversed solve (nu) flags its own stop; rows no longer run it,
@@ -184,8 +210,8 @@ class TestPressureRow:
         want = pressure_sample(L, power_iterate(L), grid)
         got = pressure_row((cfg, 2))
         assert got.log_lambda == want.log_lambda
-        assert (got.variational_lb, got.bernoulli_p, got.slack) == \
-            (want.variational_lb, want.bernoulli_p, want.slack)
+        assert (got.variational_lb, got.slack) == \
+            (want.variational_lb, want.slack)
 
     def test_unconverged_is_none(self):
         cfg = ReplicaConfig(level=8, beta=1.0, master_seed=1, replicas=2,
@@ -274,7 +300,12 @@ class TestAggregate:
         rep = aggregate(cfg, rows, 0.0)
         assert rep.n_failed == 0
         assert rep.bound_violations == {"lower": 0, "upper": 0, "positivity": 0}
-        assert all(r.ratio_gap <= 1e-10 for r in rows)
+        for r in rows:
+            L = replica_operator(cfg, r.index)[2]
+            res = power_iterate(L)
+            assert res.eigenvalue == r.eigenvalue
+            ratio = ratio_representation(L, res)
+            assert abs(ratio - res.eigenvalue) / res.eigenvalue <= 1e-10
         assert all(r.positive_ok and math.isfinite(r.log_floor) for r in rows)
         assert rep.positivity_log_floor == min(r.log_floor for r in rows)
         q = rep.quantiles

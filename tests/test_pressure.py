@@ -217,7 +217,7 @@ class TestPressureSample:
         s = pressure_sample(L, r, g)
         assert s.log_lambda == r.log_eigenvalue
         assert s.variational_lb <= s.log_lambda + 1e-10
-        assert 0 < s.bernoulli_p < 1
+        assert s.variational_lb == bernoulli_lower_bound(L.potential)[0]
         assert s.slack > 0
 
 

@@ -183,6 +183,19 @@ class TestPowerIterate:
         assert phi is L.potential.phi
         assert r.converged and r.iterations == iters
 
+    def test_h_and_residual_read_in_either_order(self):
+        # both are formed from the read-only log_h, which neither changes
+        for beta in (1.0, 400.0):
+            L, _ = seeded_op(9, 44, beta=beta)
+            first, second = power_iterate(L), power_iterate(L)
+            assert not first.log_h.flags.writeable
+            log_h = first.log_h.copy()
+            h, residual = first.h.values, first.residual
+            residual2, h2 = second.residual, second.h.values
+            assert h.tobytes() == h2.tobytes()
+            assert residual == residual2
+            assert first.log_h.tobytes() == log_h.tobytes()
+
     def test_quotient_residual_and_h_bits(self, monkeypatch):
         # the residual and h formed on the m^(n-1) quotient words equal the
         # depth-n formulas bit for bit
