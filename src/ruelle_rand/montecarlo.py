@@ -157,8 +157,9 @@ def map_replicas(fn, config: ReplicaConfig, workers: int | None = None) -> list:
     back in chunk order. A child's exception claims the remaining chunks
     and is raised in the parent, which stops within one chunk of it; a
     child that dies raises RuntimeError; an exception in the parent ends
-    the children. A batch of one chunk, or one worker, runs in the parent
-    alone and never loads multiprocessing.
+    the children. The parent loads numpy.random before the first fork, so
+    that no child imports it on its first row. A batch of one chunk, or one
+    worker, runs in the parent alone and never loads multiprocessing.
     """
     workers = resolve_workers(workers)
     size = chunk_size(config.replicas, workers)
@@ -167,6 +168,11 @@ def map_replicas(fn, config: ReplicaConfig, workers: int | None = None) -> list:
         return _map_chunk(fn, config, config.replicas, 0)
     # imported here so a serial run never loads multiprocessing
     from multiprocessing import get_context
+
+    # every row samples a path; a child that imported numpy.random itself
+    # would keep about 5.5 MB of import-time pages, one that inherits it
+    # touches none of them
+    import numpy.random
 
     ctx = get_context("fork")
     counter = ctx.Value("q", 1)  # chunk 0 is the parent's
@@ -263,6 +269,25 @@ def run_replicas(config: ReplicaConfig, workers: int | None = None) -> list[Repl
     return map_replicas(_replica_row, config, workers)
 
 
+def _quantiles(values) -> dict:
+    """q01, q50 and q99 of values, bit for bit as np.quantile's default
+    "linear" rule gives them, from one sorted copy: at the virtual index
+    v = (n - 1) q, with i = floor(v), t = v - i and a, b the i-th and next
+    sorted values (the last value for both past the end), a + (b - a) t,
+    or b - (b - a)(1 - t) where t >= 0.5. np.quantile itself imports
+    numpy.ma on its first call."""
+    s = sorted(values)
+    n = len(s)
+    out = {}
+    for name, q in (("q01", 0.01), ("q50", 0.5), ("q99", 0.99)):
+        v = (n - 1) * q
+        i = math.floor(v)
+        t = v - i
+        a, b = s[i], s[min(i + 1, n - 1)]
+        out[name] = float(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
+    return out
+
+
 def aggregate(config: ReplicaConfig, rows: list[ReplicaRow],
               wall_time: float) -> McReport | None:
     """The batch's report over its converged rows, verdicts included, or
@@ -284,7 +309,6 @@ def aggregate(config: ReplicaConfig, rows: list[ReplicaRow],
             raise ValueError(f"{name} of the {len(good)} converged replicas "
                              f"overflows float64")
     mean_log, stderr_log = mean_stderr(np.array([r.log_eigenvalue for r in good]))
-    q = np.quantile([r.eigenvalue for r in good], [0.01, 0.5, 0.99])
     violations = {
         "lower": sum(1 for r in good if not r.lower_ok),
         "upper": sum(1 for r in good if not r.upper_ok),
@@ -302,7 +326,7 @@ def aggregate(config: ReplicaConfig, rows: list[ReplicaRow],
         stderr_lambda=stderr_lambda,
         mean_log_lambda=mean_log,
         stderr_log_lambda=stderr_log,
-        quantiles={"q01": float(q[0]), "q50": float(q[1]), "q99": float(q[2])},
+        quantiles=_quantiles([r.eigenvalue for r in good]),
         bound_violations=violations,
         positivity_log_floor=min(r.log_floor for r in good),
         bounds_ok=sum(violations.values()) == 0 and len(good) == len(rows),

@@ -89,8 +89,9 @@ task = "/proc/self/task"
 print(json.dumps({
     "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     "threads": len(os.listdir(task)) if os.path.isdir(task) else None,
-    "loaded": [m for m in ("multiprocessing", "csv", "ruelle_rand.figures",
-                           "ruelle_rand.montecarlo", "ruelle_rand.pressure")
+    "loaded": [m for m in ("multiprocessing", "csv", "numpy.random",
+                           "ruelle_rand.figures", "ruelle_rand.montecarlo",
+                           "ruelle_rand.pressure")
                if m in sys.modules],
 }))
 """
@@ -145,6 +146,31 @@ sys.exit(cli.dispatch(["montecarlo", "--level", "4", "--replicas", "8",
 """
 
 
+# A batch of one row kind at two workers, each row wrapped to return whether
+# it ran in a forked child and the modules that entered sys.modules during
+# it. The parent's rows wait long enough for the child to claim some.
+FORKED_ROWS_PROBE = """\
+import json, os, sys, time
+from functools import partial
+from ruelle_rand import montecarlo
+parent = os.getpid()
+row = {"montecarlo": montecarlo._replica_row,
+       "pressure": montecarlo.pressure_row,
+       "refine-study": partial(montecarlo._study_row, (6, 7, 8))}[sys.argv[1]]
+
+def loads(arg):
+    before = set(sys.modules)
+    row(arg)
+    loaded = sorted(set(sys.modules) - before)
+    if os.getpid() == parent:
+        time.sleep(0.05)
+    return os.getpid() != parent, loaded
+
+config = montecarlo.ReplicaConfig(level=8, replicas=32)
+print(json.dumps(montecarlo.map_replicas(loads, config, 2)))
+"""
+
+
 def startup_probe(**env) -> dict:
     base = {k: v for k, v in os.environ.items()
             if k != "OPENBLAS_NUM_THREADS"}
@@ -168,6 +194,16 @@ class TestStartup:
                              capture_output=True, text=True, timeout=60,
                              env=dict(os.environ, PYTHONPATH=SRC), check=True)
         assert json.loads(out.stdout) == {"codes": [0, 0], "loaded": []}
+
+    @pytest.mark.parametrize("kind", ["montecarlo", "pressure", "refine-study"])
+    def test_forked_rows_import_nothing(self, kind):
+        out = subprocess.run([sys.executable, "-c", FORKED_ROWS_PROBE, kind],
+                             capture_output=True, text=True, timeout=60,
+                             env=dict(os.environ, PYTHONPATH=SRC), check=True)
+        rows = json.loads(out.stdout)
+        assert len(rows) == 32
+        assert any(in_child for in_child, _ in rows)
+        assert [loaded for _, loaded in rows if loaded] == []
 
     def test_explicit_blas_threads_kept(self):
         assert startup_probe(OPENBLAS_NUM_THREADS="3")["blas_threads"] == "3"

@@ -314,6 +314,29 @@ class TestAggregate:
         assert rep.stderr_lambda > 0
         assert rep.mean_log_lambda > 0
 
+    @staticmethod
+    def assert_numpy_quantiles(values):
+        # np.quantile is the oracle, compared bit for bit
+        want = np.quantile(values, [0.01, 0.5, 0.99])
+        got = montecarlo._quantiles(values)
+        assert [got[k].hex() for k in ("q01", "q50", "q99")] == \
+            [float(v).hex() for v in want], len(values)
+
+    def test_quantiles_match_numpy(self):
+        rng = np.random.default_rng(20)
+        for n in range(1, 1026):
+            x = rng.lognormal(0.5, 0.3, n)
+            self.assert_numpy_quantiles(x.tolist())
+            # ties
+            self.assert_numpy_quantiles(np.round(x, 1).tolist())
+            self.assert_numpy_quantiles((1.5 * rng.integers(0, 3, n)).tolist())
+
+    def test_batch_quantiles_match_numpy(self, healthy_rows):
+        cfg, rows = healthy_rows
+        self.assert_numpy_quantiles([r.eigenvalue for r in rows])
+        q = aggregate(cfg, rows, 0.0).quantiles
+        assert q == montecarlo._quantiles([r.eigenvalue for r in rows])
+
     def test_all_failed_is_none(self):
         cfg = ReplicaConfig(level=8, beta=1.0, master_seed=1, replicas=4,
                             max_iters=1)
