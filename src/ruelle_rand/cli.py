@@ -210,7 +210,7 @@ def _cmd_pressure(args) -> int:
     config = _replica_config(args, args.level)
     if args.kmax < 1:
         raise ValueError("kmax must be >= 1")
-    results = montecarlo.map_replicas(montecarlo.pressure_row, config,
+    results = montecarlo.map_replicas(pressure.pressure_row, config,
                                       args.workers)
     rep = pressure.quenched_report(results, config.alphabet, config.beta)
     if rep is None:

@@ -1,6 +1,7 @@
-"""Replica orchestration: derived seeds, one ordered replica map for
-every sample -> spectrum batch, order-stable aggregation, and the
-expectation-bound checks.
+"""Replica engine: derived seeds, one ordered replica map for every
+sample -> spectrum batch, the batch statistics, order-stable aggregation,
+and the expectation-bound checks. It imports no other batch: pressure's
+row lives beside its report.
 
 Replica i always runs under seed derive_seed(master_seed, i), so the
 result set is a pure function of the config. Workers only change the
@@ -21,11 +22,9 @@ import numpy as np
 
 from . import brownian
 from ._rng import derive_seed
-from .pressure import PressureSample, mean_stderr, pressure_sample
 from .symbolic import Alphabet
-from .transfer import (DEFAULT_MAX_ITERS, TransferOperator,
-                       build_potential, lambda_overflow, pathwise_bounds,
-                       power_iterate)
+from .transfer import (TransferOperator, build_potential, lambda_overflow,
+                       pathwise_bounds, power_iterate)
 
 WORKERS_ENV = "RUELLE_RAND_WORKERS"
 
@@ -37,7 +36,6 @@ class ReplicaConfig:
     beta: float = 1.0
     master_seed: int = 0
     replicas: int = 1
-    max_iters: int = DEFAULT_MAX_ITERS
 
     def __post_init__(self):
         if self.level < 1:
@@ -226,13 +224,13 @@ def _replica_row(arg: tuple[ReplicaConfig, int]) -> ReplicaRow:
     config, i = arg
     seed, grid, L = replica_operator(config, i)
     m1 = float(np.max(grid.values))
-    res = power_iterate(L, config.max_iters)
+    res = power_iterate(L)
     if res.converged:
         bounds = pathwise_bounds(L, res, m1)
-        # h > 0 as computed (its least entry is exp(min log H - log H[0])),
-        # and nu > 0 certified by lambda's bracket alone
-        log_h = res.log_h
-        positive = bool(np.exp(log_h.min() - log_h[0]) > 0
+        # h > 0 and nu > 0 decided in logs: every log H entry finite (an h
+        # entry below e^-745 is 0 in float64 but still positive), and nu's
+        # floor certified by lambda's bracket alone
+        positive = bool(np.isfinite(res.log_h.min())
                         and math.isfinite(res.log_floor))
     else:
         bounds = {"lower_ok": False, "upper_ok": False}
@@ -253,20 +251,17 @@ def _replica_row(arg: tuple[ReplicaConfig, int]) -> ReplicaRow:
     )
 
 
-def pressure_row(arg: tuple[ReplicaConfig, int]) -> PressureSample | None:
-    """Replica's PressureSample, or None when its right solve did not
-    converge."""
-    config, i = arg
-    _, grid, L = replica_operator(config, i)
-    res = power_iterate(L, config.max_iters)
-    if not res.converged:
-        return None
-    return pressure_sample(L, res, grid)
-
-
 def run_replicas(config: ReplicaConfig, workers: int | None = None) -> list[ReplicaRow]:
     """All replica rows, in replica-index order regardless of schedule."""
     return map_replicas(_replica_row, config, workers)
+
+
+def mean_stderr(v: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error (0 for a single sample); inf past
+    float64, which a report refuses."""
+    with np.errstate(over="ignore"):
+        se = float(v.std(ddof=1) / math.sqrt(v.size)) if v.size > 1 else 0.0
+        return float(v.mean()), se
 
 
 def _quantiles(values) -> dict:
@@ -357,7 +352,7 @@ def _study_row(levels: tuple[int, ...],
         while grid.level < target:
             grid = brownian.refine(grid)
         L = TransferOperator(build_potential(grid, config.beta))
-        res = power_iterate(L, config.max_iters)
+        res = power_iterate(L)
         if not res.converged:
             return None
         logs.append(res.log_eigenvalue)
@@ -401,13 +396,11 @@ def tightened_upper_check(config: ReplicaConfig, rows: list[ReplicaRow]) -> dict
     Both follow from lambda <= m e^(beta M1) on every path; the band then
     uses E e^(beta M1) = E e^(beta |B_1|) <= 2 e^(beta^2 / 2) (reflection
     principle). Past float64 each saturates at the largest float, which
-    mean_lambda, itself a float, cannot exceed."""
-    good = [r for r in rows if r.converged]
-    if not good:
-        raise ValueError("no converged rows")
-    mean_lambda, stderr = mean_stderr(np.array([r.eigenvalue for r in good]))
+    mean_lambda, itself a float, cannot exceed. rows are the batch's
+    converged rows, as aggregate passes them."""
+    mean_lambda, stderr = mean_stderr(np.array([r.eigenvalue for r in rows]))
     with np.errstate(over="ignore"):
-        exp_m1 = np.exp(config.beta * np.array([r.m1 for r in good])).mean()
+        exp_m1 = np.exp(config.beta * np.array([r.m1 for r in rows])).mean()
     mean_exp_m1 = min(float(exp_m1), sys.float_info.max)
     m = config.alphabet.m
     # math.exp raises past 709.78, and 2m e^709 is already out of range

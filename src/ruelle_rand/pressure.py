@@ -19,9 +19,10 @@ import numpy as np
 
 from .brownian import (HOLDER_GAMMA, MAX_CELLS, BrownianGrid,
                        holder_constant)
+from .montecarlo import ReplicaConfig, mean_stderr, replica_operator
 from .symbolic import Alphabet
 from .transfer import (PotentialField, SpectralResult, TransferOperator,
-                       _log_apply)
+                       _log_apply, power_iterate)
 
 DEFAULT_P_GRID = np.linspace(0.01, 0.99, 99)
 
@@ -60,14 +61,6 @@ def birkhoff_pressure(L: TransferOperator, ix: int, kmax: int) -> np.ndarray:
         G, new = new, G
         out[k - 1] = G[ix // m] / k
     return out
-
-
-def mean_stderr(v: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error (0 for a single sample); inf past
-    float64, which a report refuses."""
-    with np.errstate(over="ignore"):
-        se = float(v.std(ddof=1) / math.sqrt(v.size)) if v.size > 1 else 0.0
-        return float(v.mean()), se
 
 
 @lru_cache(maxsize=16)
@@ -182,7 +175,18 @@ def pressure_sample(L: TransferOperator, result: SpectralResult,
     )
 
 
-def pressure_band(alphabet: Alphabet, beta: float = 1.0) -> tuple[float, float]:
+def pressure_row(arg: tuple[ReplicaConfig, int]) -> PressureSample | None:
+    """Replica's PressureSample, or None when its right solve did not
+    converge."""
+    config, i = arg
+    _, grid, L = replica_operator(config, i)
+    res = power_iterate(L)
+    if not res.converged:
+        return None
+    return pressure_sample(L, res, grid)
+
+
+def pressure_band(alphabet: Alphabet, beta: float) -> tuple[float, float]:
     """A priori quenched-pressure band [0, log(2m) + beta^2 / 2].
 
     Floor: lambda is at least the diagonal entry exp(phi[0^n]) = 1, since
@@ -195,9 +199,8 @@ def pressure_band(alphabet: Alphabet, beta: float = 1.0) -> tuple[float, float]:
     return 0.0, math.log(2 * alphabet.m) + beta**2 / 2
 
 
-def quenched_report(results: list[PressureSample | None],
-                    alphabet: Alphabet = Alphabet(2),
-                    beta: float = 1.0) -> dict | None:
+def quenched_report(results: list[PressureSample | None], alphabet: Alphabet,
+                    beta: float) -> dict | None:
     """Batch report over the replicas that converged (None marks one that
     did not, counted in n_failed), or None when none did: mean and
     standard error of log lambda, the Jensen ordering mean(log) <=

@@ -86,16 +86,6 @@ def dumps_envelope(manifest: dict, report: dict) -> str:
     return dumps(envelope(manifest, report)) + "\n"
 
 
-def schema_text() -> str:
-    """The JSON schema shipped with the package."""
-    # only tests read it; imported here so that a CLI process does not load
-    # importlib.resources and, with it, pathlib and tempfile
-    import importlib.resources
-
-    return (importlib.resources.files("ruelle_rand") / "schema"
-            / "report.schema.json").read_text(encoding="utf-8")
-
-
 @contextlib.contextmanager
 def open_output(path: str):
     """Text file (UTF-8, no newline translation) that rewrites ``path`` in

@@ -83,11 +83,6 @@ class TransferOperator:
     def alphabet(self) -> Alphabet:
         return self.potential.alphabet
 
-    def _apply(self, f: np.ndarray) -> np.ndarray:
-        m = self.alphabet.m
-        G = np.exp(self.potential.phi) * f
-        return np.repeat(G.reshape(m, -1).sum(axis=0), m)
-
 
 @dataclass(frozen=True)
 class SpectralResult:
@@ -148,7 +143,10 @@ def build_potential(grid: BrownianGrid, beta: float) -> PotentialField:
 def apply(L: TransferOperator, f: CylinderFunction) -> CylinderFunction:
     if f.level != L.level or f.alphabet != L.alphabet:
         raise ValueError("operator and function live at different levels")
-    return CylinderFunction(L.level, L.alphabet, L._apply(f.values))
+    m = L.alphabet.m
+    G = np.exp(L.potential.phi) * f.values
+    return CylinderFunction(L.level, L.alphabet,
+                            np.repeat(G.reshape(m, -1).sum(axis=0), m))
 
 
 def _scaled_weights(phi3: np.ndarray, psi: np.ndarray | None):

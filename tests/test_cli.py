@@ -1,4 +1,5 @@
 import contextlib
+import importlib.resources
 import importlib.util
 import itertools
 import json
@@ -17,11 +18,11 @@ import numpy as np
 import pytest
 
 from oracles import csv_module_bytes
-from ruelle_rand import __version__, brownian, cli, montecarlo, report
+from ruelle_rand import (__version__, brownian, cli, montecarlo, pressure,
+                         report)
 from ruelle_rand._rng import derive_seed
 from ruelle_rand.cli import dispatch
 from ruelle_rand.pressure import birkhoff_pressure
-from ruelle_rand.report import schema_text
 from ruelle_rand.symbolic import Alphabet
 from ruelle_rand.transfer import (DEFAULT_MAX_ITERS, TransferOperator,
                                   _eigenvalue, _perron_core, _residual,
@@ -30,7 +31,8 @@ from ruelle_rand.transfer import (DEFAULT_MAX_ITERS, TransferOperator,
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
-SCHEMA = json.loads(schema_text())
+SCHEMA = json.loads((importlib.resources.files("ruelle_rand") / "schema"
+                     / "report.schema.json").read_text(encoding="utf-8"))
 VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
 
 # What the wrapper an installer generates for a console_scripts entry does:
@@ -127,6 +129,22 @@ print(json.dumps({"codes": codes,
 """
 
 
+# Whether a fresh process has loaded the pressure batch after each of a
+# serial montecarlo, refine-study and pressure run, in that order.
+BATCH_MODULES_PROBE = """\
+import contextlib, io, json, sys
+from ruelle_rand.cli import dispatch
+seen = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["montecarlo", "--level", "5"],
+                 ["refine-study", "--levels", "4,5"],
+                 ["pressure", "--level", "5"]):
+        code = dispatch(argv + ["--replicas", "4", "--workers", "1"])
+        seen.append([argv[0], code, "ruelle_rand.pressure" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
 # A montecarlo batch at two workers whose child dies on its first row, while
 # the parent's rows wait long enough for the child to start and claim one.
 DEAD_CHILD = """\
@@ -152,10 +170,10 @@ sys.exit(cli.dispatch(["montecarlo", "--level", "4", "--replicas", "8",
 FORKED_ROWS_PROBE = """\
 import json, os, sys, time
 from functools import partial
-from ruelle_rand import montecarlo
+from ruelle_rand import montecarlo, pressure
 parent = os.getpid()
 row = {"montecarlo": montecarlo._replica_row,
-       "pressure": montecarlo.pressure_row,
+       "pressure": pressure.pressure_row,
        "refine-study": partial(montecarlo._study_row, (6, 7, 8))}[sys.argv[1]]
 
 def loads(arg):
@@ -194,6 +212,16 @@ class TestStartup:
                              capture_output=True, text=True, timeout=60,
                              env=dict(os.environ, PYTHONPATH=SRC), check=True)
         assert json.loads(out.stdout) == {"codes": [0, 0], "loaded": []}
+
+    def test_engine_loads_no_batch(self):
+        # the replica engine imports no batch module: only pressure loads
+        # its own
+        out = subprocess.run([sys.executable, "-c", BATCH_MODULES_PROBE],
+                             capture_output=True, text=True, timeout=60,
+                             env=dict(os.environ, PYTHONPATH=SRC), check=True)
+        assert json.loads(out.stdout) == [["montecarlo", 0, False],
+                                          ["refine-study", 0, False],
+                                          ["pressure", 0, True]]
 
     @pytest.mark.parametrize("kind", ["montecarlo", "pressure", "refine-study"])
     def test_forked_rows_import_nothing(self, kind):
@@ -773,13 +801,13 @@ class TestPressure:
         # replica 0's right solve is made to fail; the CSV must then hold
         # replica 1's iterates
         calls = []
-        solve = montecarlo.power_iterate
+        solve = pressure.power_iterate
 
         def fail_first(L, *args):
             res = solve(L, *args)
             calls.append(L)
             return replace(res, converged=False) if len(calls) == 1 else res
-        monkeypatch.setattr(montecarlo, "power_iterate", fail_first)
+        monkeypatch.setattr(pressure, "power_iterate", fail_first)
         csv = tmp_path / "birkhoff.csv"
         code, out, _ = run_cli(capsys, "pressure", "--level", "6",
                                "--replicas", "3", "--kmax", "8", "--seed", "4",
@@ -897,6 +925,17 @@ class TestMontecarlo:
         assert rep["bounds_ok"] is True
         assert code == 0
 
+    def test_underflowing_h_is_no_violation(self, capsys):
+        # one path's h has entries below e^-745, 0 in float64; its log H
+        # and the floor stay finite, so h > 0 as nu is
+        code, out, _ = run_cli(capsys, "montecarlo", "--level", "6",
+                               "--replicas", "4", "--beta", "200", "--seed",
+                               "0")
+        rep = parse_checked(out)["report"]
+        assert rep["n_failed"] == 0
+        assert rep["bound_violations"]["positivity"] == 0
+        assert code == 0
+
     def test_workers_help_names_the_env_var(self, capsys):
         code, out, _ = run_cli(capsys, "montecarlo", "--help")
         assert code == 0
@@ -970,17 +1009,19 @@ class TestMontecarlo:
 
 
 class TestOneSolve:
-    @pytest.mark.parametrize("argv,levels", [
-        (["pressure", "--level", "6", "--replicas", "5", "--kmax", "4"], [6]),
-        (["refine-study", "--levels", "4,5,7", "--replicas", "5"], [4, 5, 7]),
+    @pytest.mark.parametrize("argv,levels,row_module", [
+        (["pressure", "--level", "6", "--replicas", "5", "--kmax", "4"], [6],
+         pressure),
+        (["refine-study", "--levels", "4,5,7", "--replicas", "5"], [4, 5, 7],
+         montecarlo),
     ], ids=["pressure", "refine-study"])
     def test_replica_solves_run_power_iterate(self, capsys, monkeypatch,
-                                              argv, levels):
+                                              argv, levels, row_module):
         # R solves for pressure, R x levels for refine-study, all through
-        # the one entry point
+        # the one entry point, which the module of the batch's row calls
         solved = []
-        solve = montecarlo.power_iterate
-        monkeypatch.setattr(montecarlo, "power_iterate",
+        solve = row_module.power_iterate
+        monkeypatch.setattr(row_module, "power_iterate",
                             lambda L, *a: solved.append(L.level) or solve(L, *a))
         code, _, _ = run_cli(capsys, *argv, "--workers", "1")
         assert code == 0

@@ -9,14 +9,14 @@ from functools import partial
 import numpy as np
 import pytest
 
-from ruelle_rand import brownian, montecarlo, transfer
+from ruelle_rand import brownian, montecarlo, pressure, transfer
 from ruelle_rand._rng import derive_seed
 from ruelle_rand.montecarlo import (ReplicaConfig, _replica_row, aggregate,
-                                    chunk_size, map_replicas, pressure_row,
+                                    chunk_size, map_replicas,
                                     refinement_study, replica_operator,
                                     resolve_workers, run, run_replicas,
                                     tightened_upper_check)
-from ruelle_rand.pressure import pressure_sample
+from ruelle_rand.pressure import pressure_row, pressure_sample
 from ruelle_rand.transfer import (DEFAULT_MAX_ITERS, TransferOperator,
                                   _perron_core, build_potential,
                                   power_iterate, ratio_representation)
@@ -140,8 +140,11 @@ class TestReplicaRow:
         assert row.b1 == float(g.values[-1])
         assert row.m1 >= 0.0 and row.m1 >= row.b1
 
-    def test_failed_right_solve_skips_the_reversed_one(self, core_runs):
-        cfg = ReplicaConfig(level=8, beta=1.0, master_seed=43, max_iters=5)
+    def test_failed_right_solve_skips_the_reversed_one(self, core_runs,
+                                                       monkeypatch):
+        monkeypatch.setattr(montecarlo, "power_iterate",
+                            partial(power_iterate, max_iters=5))
+        cfg = ReplicaConfig(level=8, beta=1.0, master_seed=43)
         row = _replica_row((cfg, 0))
         assert core_runs == [5]
         assert not row.converged
@@ -149,9 +152,9 @@ class TestReplicaRow:
         assert not row.positive_ok
 
     def test_positivity_from_log_h_agrees_with_h(self, monkeypatch):
-        # rows decide h > 0 from log_h; on these paths h has entries below
-        # e^-745, which are 0 in float64, and both ways agree on every
-        # converged solve
+        # rows decide h > 0 from log H, as nu > 0 from the floor; on these
+        # paths h has entries below e^-745, which are 0 in float64, and the
+        # rows are still positive: their log H and floor are finite
         solve, solves = montecarlo.power_iterate, []
 
         def recorded(L, *a):
@@ -165,13 +168,14 @@ class TestReplicaRow:
                                 replicas=32)
             for row, res in zip(run_replicas(cfg, workers=1), solves):
                 if res.converged:
-                    h_positive = bool(np.all(res.h.values > 0))
-                    zero_h += not h_positive
+                    zero_h += not np.all(res.h.values > 0)
                     assert row.positive_ok == (
-                        h_positive and math.isfinite(res.log_floor))
+                        bool(np.isfinite(res.log_h.min()))
+                        and math.isfinite(res.log_floor))
+                    assert row.positive_ok
         assert zero_h == 13
 
-    def test_unconverged_reversed_solve_is_flagged(self):
+    def test_unconverged_reversed_solve_is_flagged(self, monkeypatch):
         # The reversed solve (nu) flags its own stop; rows no longer run it,
         # so a budget only the right solve meets leaves the row converged.
         cfg = ReplicaConfig(level=8, beta=1.0, master_seed=5)
@@ -182,7 +186,9 @@ class TestReplicaRow:
         assert right < rev  # this path's reversed solve is the slower one
         _, iters, ok = eigenmeasure(L, max_iters=right)
         assert not ok and iters == right
-        row = _replica_row((replace(cfg, max_iters=right), 0))
+        monkeypatch.setattr(montecarlo, "power_iterate",
+                            partial(power_iterate, max_iters=right))
+        row = _replica_row((cfg, 0))
         assert row.converged
         assert row.iterations == right
         assert power_iterate(L, right).residual <= 1e-11
@@ -213,9 +219,11 @@ class TestPressureRow:
         assert (got.variational_lb, got.slack) == \
             (want.variational_lb, want.slack)
 
-    def test_unconverged_is_none(self):
-        cfg = ReplicaConfig(level=8, beta=1.0, master_seed=1, replicas=2,
-                            max_iters=1)
+    def test_unconverged_is_none(self, monkeypatch):
+        # forked rows inherit the patch
+        monkeypatch.setattr(pressure, "power_iterate",
+                            partial(power_iterate, max_iters=1))
+        cfg = ReplicaConfig(level=8, beta=1.0, master_seed=1, replicas=2)
         assert map_replicas(pressure_row, cfg, workers=2) == [None, None]
 
 
@@ -337,9 +345,10 @@ class TestAggregate:
         q = aggregate(cfg, rows, 0.0).quantiles
         assert q == montecarlo._quantiles([r.eigenvalue for r in rows])
 
-    def test_all_failed_is_none(self):
-        cfg = ReplicaConfig(level=8, beta=1.0, master_seed=1, replicas=4,
-                            max_iters=1)
+    def test_all_failed_is_none(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "power_iterate",
+                            partial(power_iterate, max_iters=1))
+        cfg = ReplicaConfig(level=8, beta=1.0, master_seed=1, replicas=4)
         rows, rep = run(cfg)
         assert len(rows) == 4 and rep is None
 

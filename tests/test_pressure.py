@@ -7,9 +7,10 @@ from oracles import (all_words, bernoulli_values, birkhoff_iterates,
                      dense_matrix)
 from ruelle_rand import transfer
 from ruelle_rand.brownian import sample, stats
+from ruelle_rand.montecarlo import mean_stderr
 from ruelle_rand.pressure import (DEFAULT_P_GRID, _digit_tables,
                                   bernoulli_lower_bound, birkhoff_pressure,
-                                  mean_stderr, pressure_band, pressure_sample,
+                                  pressure_band, pressure_sample,
                                   quenched_report, variational_slack)
 from ruelle_rand.symbolic import Alphabet
 from ruelle_rand.transfer import (PotentialField, TransferOperator,
@@ -240,7 +241,7 @@ class TestQuenchedReport:
             L = TransferOperator(build_potential(g, 1.0))
             r = power_iterate(L)
             samples.append(pressure_sample(L, r, g))
-        rep = quenched_report(samples)
+        rep = quenched_report(samples, B2, 1.0)
         assert rep["n"] == 8
         assert rep["mean_log_lambda"] == pytest.approx(math.log(2), rel=1e-12)
         assert rep["stderr"] == 0.0
@@ -253,7 +254,7 @@ class TestQuenchedReport:
         for seed in range(48):
             L, r, g = seeded(10, 3000 + seed)
             samples.append(pressure_sample(L, r, g))
-        rep = quenched_report(samples)
+        rep = quenched_report(samples, B2, 1.0)
         assert rep["all_positive"]
         assert rep["jensen_ok"]
         assert rep["bounds_ok"]
@@ -263,8 +264,8 @@ class TestQuenchedReport:
         assert rep["variational_violations"] == 0
 
     def test_band_values(self):
-        assert pressure_band(B2) == (0.0, math.log(4) + 0.5)
-        assert pressure_band(B3) == (0.0, math.log(6) + 0.5)
+        assert pressure_band(B2, 1.0) == (0.0, math.log(4) + 0.5)
+        assert pressure_band(B3, 1.0) == (0.0, math.log(6) + 0.5)
 
     def test_band_at_beta(self):
         assert pressure_band(B2, 4.0) == (0.0, math.log(4) + 8.0)
@@ -272,18 +273,19 @@ class TestQuenchedReport:
 
     def test_empty_rejected(self):
         # no converged replica: no report, as for the other batches
-        assert quenched_report([]) is None
-        assert quenched_report([None, None]) is None
+        assert quenched_report([], B2, 1.0) is None
+        assert quenched_report([None, None], B2, 1.0) is None
 
     def test_unconverged_replicas_counted(self):
         samples = [pressure_sample(*seeded(6, 200 + i)) for i in range(3)]
-        rep = quenched_report([None, samples[0], None, samples[1], samples[2]])
-        assert rep == {**quenched_report(samples), "n_failed": 2}
+        rep = quenched_report([None, samples[0], None, samples[1], samples[2]],
+                              B2, 1.0)
+        assert rep == {**quenched_report(samples, B2, 1.0), "n_failed": 2}
         assert rep["n"] == 3
 
     def test_jensen_is_equality_for_constant_batch(self):
         L, r, g = seeded(6, 91)
         samples = [pressure_sample(L, r, g)] * 5
-        rep = quenched_report(samples)
+        rep = quenched_report(samples, B2, 1.0)
         assert rep["jensen_ok"]
         assert rep["stderr"] == 0.0

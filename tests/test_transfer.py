@@ -100,7 +100,8 @@ class TestApply:
         L, _ = seeded_op(5, 11)
         rng = np.random.default_rng(0)
         G = rng.normal(size=16)
-        direct = np.log(L._apply(np.exp(np.repeat(G, 2))))
+        f = CylinderFunction(5, B2, np.exp(np.repeat(G, 2)))
+        direct = np.log(apply(L, f).values)
         assert np.array_equal(direct[::2], direct[1::2])
         for shift in (0.0, 1.5):
             got = np.empty(16)
@@ -116,7 +117,7 @@ class TestApply:
     def test_positivity_preserved(self):
         L, _ = seeded_op(6, 13)
         f = np.full(64, 1e-9)
-        assert np.all(L._apply(f) > 0)
+        assert np.all(apply(L, CylinderFunction(6, B2, f)).values > 0)
 
 
 class TestPowerIterate:
@@ -274,7 +275,7 @@ class TestPowerIterate:
         nu = eigenmeasure(L)[0]
         rng = np.random.default_rng(5)
         f = rng.uniform(0.1, 3.0, size=64)
-        lhs = float(L._apply(f) @ nu)
+        lhs = float(apply(L, CylinderFunction(6, B2, f)).values @ nu)
         rhs = float(r.eigenvalue * (f @ nu))
         assert abs(lhs - rhs) / abs(rhs) <= 10 * DEFAULT_TOL
 
