@@ -28,8 +28,8 @@ from . import __version__, brownian, report
 from ._rng import derive_seed, level_stream
 from .skorokhod import StepFunction, sup_norm, theta, theta_inverse
 from .symbolic import Alphabet
-from .transfer import (TransferOperator, build_potential, lambda_overflow,
-                       pathwise_bounds, power_iterate, ratio_representation)
+from .transfer import (build_potential, lambda_overflow, pathwise_bounds,
+                       power_iterate, ratio_representation)
 
 _USAGE_EXIT = 1
 _VIOLATION_EXIT = 2
@@ -139,14 +139,14 @@ def _cmd_spectrum(args) -> int:
     # the grid is read for its maximum and phi, then let go before the solve
     grid = brownian.sample(n, alphabet, args.seed, zero_noise=args.zero_noise)
     m1 = float(np.max(grid.values))
-    L = TransferOperator(build_potential(grid, beta))
+    potential = build_potential(grid, beta)
     del grid
-    res = power_iterate(L)
+    res = power_iterate(potential)
     if math.isinf(res.eigenvalue):
         raise ValueError(lambda_overflow(res.log_eigenvalue))
-    ratio = ratio_representation(L, res)
+    ratio = ratio_representation(potential, res)
     gap = abs(ratio - res.eigenvalue) / res.eigenvalue
-    bounds = pathwise_bounds(L, res, m1)
+    bounds = pathwise_bounds(potential, res, m1)
     if args.emit_eigenfunction:
         # row k: the depth-n word of index k in base-m digits, t = k / m^n
         rows = ((w.decode(), k / m**n, float(h))
@@ -218,8 +218,8 @@ def _cmd_pressure(args) -> int:
     if args.emit_birkhoff:
         # the iterates of the first converged replica, rebuilt from its seed
         first = next(i for i, s in enumerate(results) if s is not None)
-        _, _, L = montecarlo.replica_operator(config, first)
-        seq = pressure.birkhoff_pressure(L, 0, args.kmax)
+        _, _, potential = montecarlo.replica_potential(config, first)
+        seq = pressure.birkhoff_pressure(potential, 0, args.kmax)
         rows = [(k + 1, float(v)) for k, v in enumerate(seq)]
         report.write_csv(args.emit_birkhoff, ["k", "value"], rows)
     ok = (rep["jensen_ok"] and rep["bounds_ok"] and rep["all_positive"]

@@ -23,8 +23,8 @@ import numpy as np
 from . import brownian
 from ._rng import derive_seed
 from .symbolic import Alphabet
-from .transfer import (TransferOperator, build_potential, lambda_overflow,
-                       pathwise_bounds, power_iterate)
+from .transfer import (build_potential, lambda_overflow, pathwise_bounds,
+                       power_iterate)
 
 WORKERS_ENV = "RUELLE_RAND_WORKERS"
 
@@ -213,20 +213,20 @@ def map_replicas(fn, config: ReplicaConfig, workers: int | None = None) -> list:
     return [row for part in rows for row in part]
 
 
-def replica_operator(config: ReplicaConfig, i: int):
-    """Replica i's derived seed, sampled grid and operator."""
+def replica_potential(config: ReplicaConfig, i: int):
+    """Replica i's derived seed, sampled grid and potential."""
     seed = derive_seed(config.master_seed, i)
     grid = brownian.sample(config.level, config.alphabet, seed)
-    return seed, grid, TransferOperator(build_potential(grid, config.beta))
+    return seed, grid, build_potential(grid, config.beta)
 
 
 def _replica_row(arg: tuple[ReplicaConfig, int]) -> ReplicaRow:
     config, i = arg
-    seed, grid, L = replica_operator(config, i)
+    seed, grid, potential = replica_potential(config, i)
     m1 = float(np.max(grid.values))
-    res = power_iterate(L)
+    res = power_iterate(potential)
     if res.converged:
-        bounds = pathwise_bounds(L, res, m1)
+        bounds = pathwise_bounds(potential, res, m1)
         # h > 0 and nu > 0 decided in logs: every log H entry finite (an h
         # entry below e^-745 is 0 in float64 but still positive), and nu's
         # floor certified by lambda's bracket alone
@@ -351,8 +351,7 @@ def _study_row(levels: tuple[int, ...],
     for target in levels:
         while grid.level < target:
             grid = brownian.refine(grid)
-        L = TransferOperator(build_potential(grid, config.beta))
-        res = power_iterate(L)
+        res = power_iterate(build_potential(grid, config.beta))
         if not res.converged:
             return None
         logs.append(res.log_eigenvalue)

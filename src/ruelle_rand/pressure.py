@@ -19,9 +19,9 @@ import numpy as np
 
 from .brownian import (HOLDER_GAMMA, MAX_CELLS, BrownianGrid,
                        holder_constant)
-from .montecarlo import ReplicaConfig, mean_stderr, replica_operator
+from .montecarlo import ReplicaConfig, mean_stderr, replica_potential
 from .symbolic import Alphabet
-from .transfer import (PotentialField, SpectralResult, TransferOperator,
+from .transfer import (DEFAULT_TOL, PotentialField, SpectralResult,
                        _log_apply, power_iterate)
 
 DEFAULT_P_GRID = np.linspace(0.01, 0.99, 99)
@@ -29,15 +29,14 @@ DEFAULT_P_GRID = np.linspace(0.01, 0.99, 99)
 
 @dataclass(frozen=True)
 class PressureSample:
-    """One replica's pressure data. slack is the reported discretization
-    allowance used by the variational check."""
+    """One replica's log eigenvalue and best Bernoulli variational bound."""
 
     log_lambda: float
     variational_lb: float
-    slack: float
 
 
-def birkhoff_pressure(L: TransferOperator, ix: int, kmax: int) -> np.ndarray:
+def birkhoff_pressure(potential: PotentialField, ix: int,
+                      kmax: int) -> np.ndarray:
     """Entries (1/k) log (L^k 1)(x) for k = 1..kmax, with x the depth-n
     word of index ix, iterated in the log domain.
 
@@ -47,16 +46,16 @@ def birkhoff_pressure(L: TransferOperator, ix: int, kmax: int) -> np.ndarray:
     evaluation at the fixed word x stands in for the shifted point. Entries
     converge to log lambda at rate O(1/k), uniformly over x.
     """
-    m = L.alphabet.m
-    cells = m**L.level
+    m, n = potential.alphabet.m, potential.level
+    cells = m**n
     if not 0 <= ix < cells:
-        raise ValueError(f"word index {ix} out of range at depth {L.level}")
+        raise ValueError(f"word index {ix} out of range at depth {n}")
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     G, new = np.zeros(cells // m), np.empty(cells // m)
     out = np.empty(kmax)
     for k in range(1, kmax + 1):
-        for quotient, S, _ in _log_apply(L, G, 0.0):
+        for quotient, S, _ in _log_apply(potential, G, 0.0):
             new[quotient] = S
         G, new = new, G
         out[k - 1] = G[ix // m] / k
@@ -155,35 +154,31 @@ def variational_slack(grid: BrownianGrid, beta: float) -> float:
     with gamma = HOLDER_GAMMA and m^(-n) the cell span of the finest scale
     holder_constant measures.
 
-    Heuristic, reported never silently absorbed; at finite depth the
-    Bernoulli bound is exact for the discretized system, so healthy runs
-    never come near it.
+    No check reads it: at finite depth the variational principle is exact,
+    and quenched_report decides violations to the solve's tolerance. It
+    stays only because perfbench's layer table times it by name.
     """
     holder = holder_constant(grid, HOLDER_GAMMA)
     m = float(grid.alphabet.m)
     return 2.0 * beta * holder * m ** (-HOLDER_GAMMA * grid.level)
 
 
-def pressure_sample(L: TransferOperator, result: SpectralResult,
-                    grid: BrownianGrid) -> PressureSample:
+def pressure_sample(potential: PotentialField,
+                    result: SpectralResult) -> PressureSample:
     """Assemble one replica's PressureSample from its converged eigenvalue."""
-    lb, _ = bernoulli_lower_bound(L.potential)
-    return PressureSample(
-        log_lambda=result.log_eigenvalue,
-        variational_lb=lb,
-        slack=variational_slack(grid, L.potential.beta),
-    )
+    lb, _ = bernoulli_lower_bound(potential)
+    return PressureSample(log_lambda=result.log_eigenvalue, variational_lb=lb)
 
 
 def pressure_row(arg: tuple[ReplicaConfig, int]) -> PressureSample | None:
     """Replica's PressureSample, or None when its right solve did not
     converge."""
     config, i = arg
-    _, grid, L = replica_operator(config, i)
-    res = power_iterate(L)
+    _, _, potential = replica_potential(config, i)
+    res = power_iterate(potential)
     if not res.converged:
         return None
-    return pressure_sample(L, res, grid)
+    return pressure_sample(potential, res)
 
 
 def pressure_band(alphabet: Alphabet, beta: float) -> tuple[float, float]:
@@ -205,7 +200,13 @@ def quenched_report(results: list[PressureSample | None], alphabet: Alphabet,
     did not, counted in n_failed), or None when none did: mean and
     standard error of log lambda, the Jensen ordering mean(log) <=
     log(mean), the a priori band check at beta, and the worst variational
-    gap (most positive variational_lb - log_lambda)."""
+    gap (most positive variational_lb - log_lambda).
+
+    Both orderings are exact, so each fails only past DEFAULT_TOL (1 + |x|)
+    at its larger side x, the solve's own tolerance: the depth-n potential
+    is locally constant, so variational_lb <= log lambda holds on every
+    path, and the Collatz-Wielandt bracket certifies log lambda to
+    DEFAULT_TOL; Jensen's ordering is AM-GM, true of any positive sample."""
     samples = [s for s in results if s is not None]
     if not samples:
         return None
@@ -216,7 +217,6 @@ def quenched_report(results: list[PressureSample | None], alphabet: Alphabet,
     mean_log, stderr = mean_stderr(logs)
     lo, hi = pressure_band(alphabet, beta)
     gaps = np.array([s.variational_lb - s.log_lambda for s in samples])
-    slacks = np.array([s.slack for s in samples])
     return {
         "n": int(logs.size),
         "n_failed": len(results) - len(samples),
@@ -224,9 +224,11 @@ def quenched_report(results: list[PressureSample | None], alphabet: Alphabet,
         "stderr": stderr,
         "min_log_lambda": float(logs.min()),
         "all_positive": bool(np.all(logs > 0)),
-        "jensen_ok": bool(mean_log <= log_mean),
+        "jensen_ok": bool(
+            mean_log <= log_mean + DEFAULT_TOL * (1 + abs(log_mean))),
         "band": [lo, hi],
         "bounds_ok": bool(lo <= mean_log <= hi),
         "worst_variational_gap": float(gaps.max()),
-        "variational_violations": int(np.sum(gaps > slacks)),
+        "variational_violations": int(
+            np.sum(gaps > DEFAULT_TOL * (1 + np.abs(logs)))),
     }

@@ -1,7 +1,7 @@
 """Depth-n transfer operator for a sampled Brownian potential.
 
 A depth-n word w carries weight exp(beta * B_{t(w)}) with t read at the
-cylinder's left endpoint w.0^inf. The operator
+cylinder's left endpoint w.0^inf. The operator of that PotentialField
 
     (L f)[w] = sum_a exp(phi[a w_1 .. w_{n-1}]) f[a w_1 .. w_{n-1}]
 
@@ -69,19 +69,15 @@ class PotentialField:
         object.__setattr__(self, "phi", p)
 
 
-class TransferOperator:
-    """Matrix-free depth-n Ruelle operator for one potential."""
+class TransferOperator(PotentialField):
+    """A PotentialField under the operator's name. The operator is
+    determined by its potential, and every function here takes the
+    PotentialField; nothing in the package builds this class. It is kept
+    only because perfbench builds and subclasses it."""
 
     def __init__(self, potential: PotentialField):
-        self.potential = potential
-
-    @property
-    def level(self) -> int:
-        return self.potential.level
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.potential.alphabet
+        super().__init__(potential.level, potential.alphabet, potential.beta,
+                         potential.phi)
 
 
 @dataclass(frozen=True)
@@ -117,21 +113,21 @@ class SpectralResult:
     bracket: tuple[float, float]
     log_floor: float
     log_h: np.ndarray = field(repr=False, compare=False)
-    _operator: TransferOperator = field(repr=False, compare=False)
+    potential: PotentialField = field(repr=False, compare=False)
 
     @cached_property
     def h(self) -> CylinderFunction:
-        L = self._operator
+        p = self.potential
         # past float64 an entry is inf, as lambda is: the values report it,
         # not a warning
         H = self.log_h - self.log_h[0]
         with np.errstate(over="ignore"):
             np.exp(H, out=H)
-        return CylinderFunction(L.level, L.alphabet, np.repeat(H, L.alphabet.m))
+        return CylinderFunction(p.level, p.alphabet, np.repeat(H, p.alphabet.m))
 
     @cached_property
     def residual(self) -> float:
-        return _residual(self._operator, self.log_h, self.log_eigenvalue)
+        return _residual(self.potential, self.log_h, self.log_eigenvalue)
 
 
 def build_potential(grid: BrownianGrid, beta: float) -> PotentialField:
@@ -140,12 +136,12 @@ def build_potential(grid: BrownianGrid, beta: float) -> PotentialField:
     return PotentialField(grid.level, grid.alphabet, beta, phi)
 
 
-def apply(L: TransferOperator, f: CylinderFunction) -> CylinderFunction:
-    if f.level != L.level or f.alphabet != L.alphabet:
+def apply(potential: PotentialField, f: CylinderFunction) -> CylinderFunction:
+    if f.level != potential.level or f.alphabet != potential.alphabet:
         raise ValueError("operator and function live at different levels")
-    m = L.alphabet.m
-    G = np.exp(L.potential.phi) * f.values
-    return CylinderFunction(L.level, L.alphabet,
+    m = potential.alphabet.m
+    G = np.exp(potential.phi) * f.values
+    return CylinderFunction(potential.level, potential.alphabet,
                             np.repeat(G.reshape(m, -1).sum(axis=0), m))
 
 
@@ -310,7 +306,7 @@ def _eigenvalue(c: float, lo: float, hi: float):
     return float(lam), llam, (float(lam_lo), float(lam_hi))
 
 
-def power_iterate(L: TransferOperator,
+def power_iterate(potential: PotentialField,
                   max_iters: int = DEFAULT_MAX_ITERS) -> SpectralResult:
     """Perron eigendata, certified by the Collatz-Wielandt bracket.
 
@@ -325,7 +321,7 @@ def power_iterate(L: TransferOperator,
     the CLI runs here.
     """
     logH, c, lo, hi, iters, ok, _ = _perron_core(
-        L.potential.phi, L.alphabet.m, L.level, max_iters)
+        potential.phi, potential.alphabet.m, potential.level, max_iters)
     logH.setflags(write=False)
     lam, llam, bracket = _eigenvalue(c, lo, hi)
     # a core that stopped without a finite bracket gets floor -inf
@@ -336,13 +332,14 @@ def power_iterate(L: TransferOperator,
         iterations=iters,
         converged=ok,
         bracket=bracket,
-        log_floor=L.level * (float(L.potential.phi.min()) - log_hi),
+        log_floor=potential.level * (float(potential.phi.min()) - log_hi),
         log_h=logH,
-        _operator=L,
+        potential=potential,
     )
 
 
-def _residual(L: TransferOperator, logH: np.ndarray, llam: float) -> float:
+def _residual(potential: PotentialField, logH: np.ndarray,
+              llam: float) -> float:
     """max|Lh - lam h| / (lam ||h||_inf) for the quotient eigenvector
     H = exp(logH), formed on h / ||h||_inf so that extreme beta cannot
     overflow: with G = logH - max logH, the max over the blocks of
@@ -350,7 +347,7 @@ def _residual(L: TransferOperator, logH: np.ndarray, llam: float) -> float:
     """
     top = logH.max()
     worst = []
-    for cells, S, spare in _log_apply(L, logH, top):
+    for cells, S, spare in _log_apply(potential, logH, top):
         S -= llam
         np.exp(S, out=S)
         G = np.subtract(logH[cells], top, out=spare)
@@ -360,7 +357,7 @@ def _residual(L: TransferOperator, logH: np.ndarray, llam: float) -> float:
     return float(np.max(worst))
 
 
-def _log_apply(L: TransferOperator, G: np.ndarray, shift: float):
+def _log_apply(potential: PotentialField, G: np.ndarray, shift: float):
     """log (L e^(G - shift)) on the quotient words j b, for a depth-n
     vector constant over its last letter with quotient logs G: the
     log-sum-exp over a of phi[a j b] + G[a j] - shift.
@@ -370,7 +367,7 @@ def _log_apply(L: TransferOperator, G: np.ndarray, shift: float):
     of S's size the caller may overwrite. Temporaries are block-sized, and
     the block size changes no bit.
     """
-    phi3 = _by_head(L.potential.phi, L.alphabet.m, L.level)
+    phi3 = _by_head(potential.phi, potential.alphabet.m, potential.level)
     m, inner, last = phi3.shape
     heads = _heads(G, m, inner)
     block = min(_BLOCK_HEADS, inner)
@@ -387,7 +384,8 @@ def _log_apply(L: TransferOperator, G: np.ndarray, shift: float):
         yield slice(j0 * last, j1 * last), S.ravel(), amax.ravel()
 
 
-def ratio_representation(L: TransferOperator, result: SpectralResult) -> float:
+def ratio_representation(potential: PotentialField,
+                         result: SpectralResult) -> float:
     """1 + sum_{a>0} exp(beta B_{a/m}) h[a 0^{n-1}] / h[0^n].
 
     This is the eigen-equation at the all-zeros word, so it reproduces the
@@ -398,9 +396,9 @@ def ratio_representation(L: TransferOperator, result: SpectralResult) -> float:
     fit float64, and exp(beta B_{a/m} + d) otherwise, so it is finite
     wherever the term is.
     """
-    m = L.alphabet.m
-    phi, log_h = L.potential.phi, result.log_h
-    block = m ** (L.level - 1)
+    m = potential.alphabet.m
+    phi, log_h = potential.phi, result.log_h
+    block = m ** (potential.level - 1)
     total = 1.0
     for a in range(1, m):
         p, d = phi[a * block], log_h[a * block // m] - log_h[0]
@@ -413,7 +411,7 @@ def ratio_representation(L: TransferOperator, result: SpectralResult) -> float:
     return float(total)
 
 
-def pathwise_bounds(L: TransferOperator, result: SpectralResult,
+def pathwise_bounds(potential: PotentialField, result: SpectralResult,
                     m1: float) -> dict:
     """Sandwich for the discrete eigenvalue on one path, m1 = max B on the
     grid:
@@ -421,18 +419,18 @@ def pathwise_bounds(L: TransferOperator, result: SpectralResult,
       max diagonal entry  <=  lambda  <=  m * exp(beta * m1).
 
     The diagonal entries sit at the constant words a^n. Checks carry a
-    1e-12 relative slack so exact-equality cases (zero noise) stay true
-    under float rounding. A side past float64 is inf: as the ceiling it is
+    DEFAULT_TOL relative slack so exact-equality cases (zero noise) stay
+    true under float rounding. A side past float64 is inf: as the ceiling it is
     still a true bound, and a diagonal entry that large makes lambda inf.
     """
-    m = L.alphabet.m
-    n = L.level
+    m = potential.alphabet.m
+    n = potential.level
     lam = result.eigenvalue
     with np.errstate(over="ignore"):
-        diag = max(float(np.exp(L.potential.phi[a * (m**n - 1) // (m - 1)]))
+        diag = max(float(np.exp(potential.phi[a * (m**n - 1) // (m - 1)]))
                    for a in range(m))
-        upper = m * np.exp(L.potential.beta * m1)
+        upper = m * np.exp(potential.beta * m1)
     return {
-        "lower_ok": bool(lam >= diag * (1.0 - 1e-12)),
-        "upper_ok": bool(lam <= upper * (1.0 + 1e-12)),
+        "lower_ok": bool(lam >= diag * (1.0 - DEFAULT_TOL)),
+        "upper_ok": bool(lam <= upper * (1.0 + DEFAULT_TOL)),
     }

@@ -176,28 +176,28 @@ def _reverse(x: np.ndarray, m: int, depth: int) -> np.ndarray:
     return x.reshape((m,) * depth).transpose().ravel()
 
 
-def log_apply(L, g: np.ndarray) -> np.ndarray:
+def log_apply(potential, g: np.ndarray) -> np.ndarray:
     """log (L e^g) for a depth-n g: the log-sum-exp over the m preimage
     terms of phi + g, in place on the one depth-n temporary."""
-    A = (L.potential.phi + g).reshape(L.alphabet.m, -1)
+    A = (potential.phi + g).reshape(potential.alphabet.m, -1)
     amax = A.max(axis=0)
     A -= amax
     return np.repeat(amax + np.log(np.exp(A, out=A).sum(axis=0)),
-                     L.alphabet.m)
+                     potential.alphabet.m)
 
 
-def birkhoff_iterates(L, ix, kmax: int) -> np.ndarray:
+def birkhoff_iterates(potential, ix, kmax: int) -> np.ndarray:
     """(1/k) log (L^k 1)[ix] for k = 1..kmax, by log_apply at depth n; row
     k - 1 holds k's entries when ix is a list of indices."""
-    g = np.zeros(L.alphabet.m**L.level)
+    g = np.zeros(potential.alphabet.m**potential.level)
     out = np.empty((kmax,) + np.shape(ix))
     for k in range(1, kmax + 1):
-        g = log_apply(L, g)
+        g = log_apply(potential, g)
         out[k - 1] = g[ix] / k
     return out
 
 
-def eigenmeasure(L, max_iters: int = DEFAULT_MAX_ITERS):
+def eigenmeasure(potential, max_iters: int = DEFAULT_MAX_ITERS):
     """(nu, iterations, converged): the eigenmeasure of L as a probability
     vector, from one run of the quotient core on phi o R.
 
@@ -206,16 +206,16 @@ def eigenmeasure(L, max_iters: int = DEFAULT_MAX_ITERS):
     nu[k] = exp(phi[k]) h'[R k] / norm. The run stops as power_iterate's
     does; an unconverged nu is its last iterate's.
     """
-    lnu, iters, ok = _log_eigenmeasure(L, max_iters)
+    lnu, iters, ok = _log_eigenmeasure(potential, max_iters)
     nu = np.exp(lnu, out=lnu).ravel()
     nu /= nu.sum()
     return nu, iters, ok
 
 
-def _log_eigenmeasure(L, max_iters: int):
+def _log_eigenmeasure(potential, max_iters: int):
     """log nu + const, with maximum 0, from eigenmeasure's reversed run."""
-    m, n = L.alphabet.m, L.level
-    phi = L.potential.phi
+    m, n = potential.alphabet.m, potential.level
+    phi = potential.phi
     logH, _, _, _, iters, ok, _ = _perron_core(
         _reverse(phi, m, n), m, n, max_iters)
     lnu = phi.reshape(-1, logH.size) + _reverse(logH, m, n - 1)
@@ -223,23 +223,23 @@ def _log_eigenmeasure(L, max_iters: int):
     return lnu, iters, ok
 
 
-def log_eigenmeasure(L) -> np.ndarray:
+def log_eigenmeasure(potential) -> np.ndarray:
     """log nu, finite where nu itself underflows (large beta)."""
-    lnu, _, ok = _log_eigenmeasure(L, DEFAULT_MAX_ITERS)
+    lnu, _, ok = _log_eigenmeasure(potential, DEFAULT_MAX_ITERS)
     assert ok, "reversed solve did not converge"
     return (lnu - np.log(np.exp(lnu).sum())).ravel()
 
 
-def functional_equation_residual(L, result, grid) -> float:
+def functional_equation_residual(potential, result, grid) -> float:
     """Residual of sum_a exp(beta B_{a/m + t/m}) X_{a/m + t/m} = lambda X_t
     over the level-(n-1) grid points t, with X = theta_inverse(h), scaled
     by lambda ||X||_inf.
 
     Unconverged results leave a visibly large residual; that is the point.
     """
-    m = L.alphabet.m
-    n = L.level
-    beta = L.potential.beta
+    m = potential.alphabet.m
+    n = potential.level
+    beta = potential.beta
     X = theta_inverse(result.h).right_values
     block = m ** (n - 1)
     j = np.arange(block)  # t = j / m^(n-1)

@@ -24,10 +24,9 @@ from ruelle_rand._rng import derive_seed
 from ruelle_rand.cli import dispatch
 from ruelle_rand.pressure import birkhoff_pressure
 from ruelle_rand.symbolic import Alphabet
-from ruelle_rand.transfer import (DEFAULT_MAX_ITERS, TransferOperator,
-                                  _eigenvalue, _perron_core, _residual,
-                                  build_potential, power_iterate,
-                                  ratio_representation)
+from ruelle_rand.transfer import (DEFAULT_MAX_ITERS, _eigenvalue,
+                                  _perron_core, _residual, build_potential,
+                                  power_iterate, ratio_representation)
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -634,12 +633,12 @@ class TestSpectrum:
                                "2", "--beta", beta)
         rep = parse_checked(out)["report"]
         grid = brownian.sample(8, Alphabet(2), 2)
-        L = TransferOperator(build_potential(grid, float(beta)))
-        logH, c, lo, hi, *_ = _perron_core(L.potential.phi, 2, 8,
+        potential = build_potential(grid, float(beta))
+        logH, c, lo, hi, *_ = _perron_core(potential.phi, 2, 8,
                                            DEFAULT_MAX_ITERS)
         llam = _eigenvalue(c, lo, hi)[1]
         assert code == 0
-        assert rep["residual"] == _residual(L, logH, llam)
+        assert rep["residual"] == _residual(potential, logH, llam)
 
     def test_beta_warning_with_zero_noise(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--level", "4",
@@ -663,7 +662,7 @@ class TestSpectrum:
         header, *rows = [l.split(",") for l in csv.read_text().splitlines()]
         assert header == ["word", "t", "h"]
         grid = brownian.sample(level, Alphabet(m), 2)
-        h = power_iterate(TransferOperator(build_potential(grid, 1.0))).h.values
+        h = power_iterate(build_potential(grid, 1.0)).h.values
         # oracle rows: the k-th word of the lex enumeration, its exact time
         words = list(itertools.product(range(m), repeat=level))
         assert len(rows) == len(words) == m**level
@@ -803,9 +802,9 @@ class TestPressure:
         calls = []
         solve = pressure.power_iterate
 
-        def fail_first(L, *args):
-            res = solve(L, *args)
-            calls.append(L)
+        def fail_first(potential, *args):
+            res = solve(potential, *args)
+            calls.append(potential)
             return replace(res, converged=False) if len(calls) == 1 else res
         monkeypatch.setattr(pressure, "power_iterate", fail_first)
         csv = tmp_path / "birkhoff.csv"
@@ -815,11 +814,42 @@ class TestPressure:
         assert code == 0
         rep = parse_checked(out)["report"]
         assert rep["n"] == 2 and rep["n_failed"] == 1
-        first, second = (birkhoff_pressure(L, 0, 8) for L in calls[:2])
+        first, second = (birkhoff_pressure(p, 0, 8) for p in calls[:2])
         assert not np.array_equal(first, second)
         values = [float(l.split(",")[1])
                   for l in csv.read_text().splitlines()[1:]]
         assert values == [float(v) for v in second]
+
+    @pytest.mark.parametrize("beta", ["0", "1e-16", "1e-12", "1e-10", "1e-8"])
+    def test_small_beta_passes_every_check(self, capsys, beta):
+        # the variational bound and Jensen's order are exact, so at tiny
+        # beta only rounding separates their two sides
+        failed = []
+        for m, level, seed in itertools.product((2, 3), (1, 3, 6), range(4)):
+            cell = ("--alphabet", str(m), "--level", str(level),
+                    "--seed", str(seed))
+            code, out, _ = run_cli(capsys, "pressure", *cell, "--beta", beta,
+                                   "--replicas", "8", "--workers", "1")
+            if code != 0:
+                failed.append((cell, parse_checked(out)["report"]))
+        assert failed == []
+
+    def test_under_reported_eigenvalue_is_a_violation(self, capsys,
+                                                      monkeypatch):
+        # a log lambda 0.01 low puts the Bernoulli bound above it on some
+        # replicas: the variational check must see that
+        solve = pressure.power_iterate
+
+        def under(potential, *a):
+            res = solve(potential, *a)
+            return replace(res, log_eigenvalue=res.log_eigenvalue - 0.01)
+        monkeypatch.setattr(pressure, "power_iterate", under)
+        code, out, _ = run_cli(capsys, "pressure", "--level", "10",
+                               "--replicas", "64", "--seed", "0",
+                               "--workers", "1")
+        rep = parse_checked(out)["report"]
+        assert code == 2
+        assert rep["variational_violations"] > 0
 
     def test_zero_replicas_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "pressure", "--level", "5",
@@ -882,7 +912,7 @@ class TestMontecarlo:
     def test_all_replicas_failed(self, capsys, monkeypatch):
         solve = montecarlo.power_iterate
         monkeypatch.setattr(montecarlo, "power_iterate",
-                            lambda L, *a: replace(solve(L, *a), converged=False))
+                            lambda p, *a: replace(solve(p, *a), converged=False))
         code, out, err = run_cli(capsys, "montecarlo", "--level", "4",
                                  "--replicas", "3")
         assert code == 2
@@ -894,8 +924,8 @@ class TestMontecarlo:
         solve = montecarlo.power_iterate
         calls = []
 
-        def zero_last(L, *a):
-            res = solve(L, *a)
+        def zero_last(potential, *a):
+            res = solve(potential, *a)
             log_h = res.log_h.copy()
             if not calls:
                 log_h[-1] = -np.inf  # h = 0 on words no other check reads
@@ -983,9 +1013,9 @@ class TestMontecarlo:
         assert line.endswith("overflows float64")
         cfg = montecarlo.ReplicaConfig(level=8, beta=700.0, master_seed=5,
                                        replicas=16)
-        L = montecarlo.replica_operator(cfg, 2)[2]
-        res = power_iterate(L)
-        ratio = ratio_representation(L, res)
+        potential = montecarlo.replica_potential(cfg, 2)[2]
+        res = power_iterate(potential)
+        ratio = ratio_representation(potential, res)
         assert res.converged
         assert abs(ratio - res.eigenvalue) / res.eigenvalue <= 1e-11
 
@@ -1022,7 +1052,7 @@ class TestOneSolve:
         solved = []
         solve = row_module.power_iterate
         monkeypatch.setattr(row_module, "power_iterate",
-                            lambda L, *a: solved.append(L.level) or solve(L, *a))
+                            lambda p, *a: solved.append(p.level) or solve(p, *a))
         code, _, _ = run_cli(capsys, *argv, "--workers", "1")
         assert code == 0
         assert solved == 5 * levels
@@ -1056,7 +1086,7 @@ class TestRefineStudy:
         good = []
         for i in range(8):
             grid = brownian.sample(5, Alphabet(2), derive_seed(0, i))
-            res = [power_iterate(TransferOperator(build_potential(g, 1e3)))
+            res = [power_iterate(build_potential(g, 1e3))
                    for g in (grid, brownian.refine(grid))]
             if all(r.converged for r in res):
                 good.append(abs(res[1].log_eigenvalue - res[0].log_eigenvalue))
@@ -1067,7 +1097,7 @@ class TestRefineStudy:
     def test_all_replicas_failed(self, capsys, monkeypatch):
         solve = montecarlo.power_iterate
         monkeypatch.setattr(montecarlo, "power_iterate",
-                            lambda L, *a: replace(solve(L, *a), converged=False))
+                            lambda p, *a: replace(solve(p, *a), converged=False))
         code, out, err = run_cli(capsys, "refine-study", "--levels", "4,6",
                                  "--replicas", "3")
         assert code == 2

@@ -24,8 +24,8 @@ from test_acceptance import DENSE_LAMBDA_TOL, RATIO_TOL
 from ruelle_rand.brownian import sample
 from ruelle_rand.cli import dispatch
 from ruelle_rand.symbolic import Alphabet
-from ruelle_rand.transfer import (PotentialField, TransferOperator,
-                                  build_potential, power_iterate)
+from ruelle_rand.transfer import (PotentialField, build_potential,
+                                  power_iterate)
 
 BETAS = (3.0, 10.0, 20.0, 40.0, 100.0)
 # B rounded to this grid keeps every walk sum in Karp's recursion exact
@@ -51,8 +51,8 @@ TROPICAL_PATHS = [(2, 8, 601), (2, 12, 0), (2, 14, 602), (2, 16, 603),
 @pytest.mark.parametrize("m,level,seed", TROPICAL_PATHS)
 def test_tropical_bracket(m, level, seed, beta):
     b, c_star = _path(m, level, seed)
-    L = TransferOperator(PotentialField(level, Alphabet(m), beta, beta * b))
-    r = power_iterate(L)
+    potential = PotentialField(level, Alphabet(m), beta, beta * b)
+    r = power_iterate(potential)
     assert r.converged
     log_lo, log_hi = (math.log(x) for x in r.bracket)
     assert log_lo <= r.log_eigenvalue <= log_hi
@@ -72,10 +72,10 @@ DENSE_PATHS = [(2, 4, 611), (2, 6, 612), (2, 8, 613), (3, 4, 614),
 @pytest.mark.parametrize("beta", BETAS)
 @pytest.mark.parametrize("m,level,seed", DENSE_PATHS)
 def test_dense_oracle(m, level, seed, beta):
-    L = TransferOperator(build_potential(sample(level, Alphabet(m), seed), beta))
-    r = power_iterate(L)
-    lam, _, _ = dense_perron(L.potential)
-    A = dense_matrix(L.potential)
+    potential = build_potential(sample(level, Alphabet(m), seed), beta)
+    r = power_iterate(potential)
+    lam, _, _ = dense_perron(potential)
+    A = dense_matrix(potential)
     assert r.converged
     assert abs(r.eigenvalue - lam) / lam <= DENSE_LAMBDA_TOL
     h = r.h.values
@@ -86,7 +86,7 @@ def test_dense_oracle(m, level, seed, beta):
     assert lo * (1 - DENSE_LAMBDA_TOL) <= lam <= hi * (1 + DENSE_LAMBDA_TOL)
     # nu is a probability vector whose tail may underflow: check nu A = lam nu
     # in total variation
-    nu = eigenmeasure(L)[0]
+    nu = eigenmeasure(potential)[0]
     assert nu.sum() == pytest.approx(1.0, abs=1e-14)
     assert np.abs(nu @ A - lam * nu).sum() <= RATIO_TOL * lam
 
@@ -101,11 +101,11 @@ def test_spectrum_reads_the_right_solve_alone(capsys):
     assert code == 0
     assert rep["converged"] is True and rep["iterations"] == 376
     grid = sample(level, Alphabet(m), seed)
-    L = TransferOperator(build_potential(grid, beta))
+    potential = build_potential(grid, beta)
     # the oracle's h and nu divide by entries that underflow here; only its
     # lambda is read
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam, _, _ = dense_perron(L.potential)
+        lam, _, _ = dense_perron(potential)
     assert abs(rep["lambda"] - lam) / lam <= DENSE_LAMBDA_TOL
     b = grid.values[:-1]
     c_star = max_cycle_mean(b, m)

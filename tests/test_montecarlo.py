@@ -13,13 +13,13 @@ from ruelle_rand import brownian, montecarlo, pressure, transfer
 from ruelle_rand._rng import derive_seed
 from ruelle_rand.montecarlo import (ReplicaConfig, _replica_row, aggregate,
                                     chunk_size, map_replicas,
-                                    refinement_study, replica_operator,
+                                    refinement_study, replica_potential,
                                     resolve_workers, run, run_replicas,
                                     tightened_upper_check)
 from ruelle_rand.pressure import pressure_row, pressure_sample
-from ruelle_rand.transfer import (DEFAULT_MAX_ITERS, TransferOperator,
-                                  _perron_core, build_potential,
-                                  power_iterate, ratio_representation)
+from ruelle_rand.transfer import (DEFAULT_MAX_ITERS, _perron_core,
+                                  build_potential, power_iterate,
+                                  ratio_representation)
 from ruelle_rand.symbolic import Alphabet
 
 from oracles import _reverse, eigenmeasure
@@ -124,11 +124,11 @@ class TestReplicaRow:
         assert row.converged
         # rows carry no residual or ratio identity: the solve's own, on the
         # same replica
-        L = replica_operator(cfg, 0)[2]
-        res = power_iterate(L)
+        potential = replica_potential(cfg, 0)[2]
+        res = power_iterate(potential)
         assert res.residual == 0.0
         assert row.lower_ok and row.upper_ok and row.positive_ok
-        assert ratio_representation(L, res) == res.eigenvalue
+        assert ratio_representation(potential, res) == res.eigenvalue
 
     def test_seed_derivation_and_path_fields(self):
         cfg = ReplicaConfig(level=7, beta=1.0, master_seed=40, replicas=3)
@@ -157,8 +157,8 @@ class TestReplicaRow:
         # rows are still positive: their log H and floor are finite
         solve, solves = montecarlo.power_iterate, []
 
-        def recorded(L, *a):
-            solves.append(solve(L, *a))
+        def recorded(potential, *a):
+            solves.append(solve(potential, *a))
             return solves[-1]
         monkeypatch.setattr(montecarlo, "power_iterate", recorded)
         zero_h = 0
@@ -179,29 +179,29 @@ class TestReplicaRow:
         # The reversed solve (nu) flags its own stop; rows no longer run it,
         # so a budget only the right solve meets leaves the row converged.
         cfg = ReplicaConfig(level=8, beta=1.0, master_seed=5)
-        _, _, L = replica_operator(cfg, 0)
-        phi = L.potential.phi
+        _, _, potential = replica_potential(cfg, 0)
+        phi = potential.phi
         right = _perron_core(phi, 2, 8, DEFAULT_MAX_ITERS)[4]
         rev = _perron_core(_reverse(phi, 2, 8), 2, 8, DEFAULT_MAX_ITERS)[4]
         assert right < rev  # this path's reversed solve is the slower one
-        _, iters, ok = eigenmeasure(L, max_iters=right)
+        _, iters, ok = eigenmeasure(potential, max_iters=right)
         assert not ok and iters == right
         monkeypatch.setattr(montecarlo, "power_iterate",
                             partial(power_iterate, max_iters=right))
         row = _replica_row((cfg, 0))
         assert row.converged
         assert row.iterations == right
-        assert power_iterate(L, right).residual <= 1e-11
+        assert power_iterate(potential, right).residual <= 1e-11
 
     def test_iterations_count_both_solves(self, core_runs):
         # Each solve counts its own core run; a row runs the right one once.
         cfg = ReplicaConfig(level=10, beta=1.0, master_seed=45)
-        _, _, L = replica_operator(cfg, 0)
-        phi = L.potential.phi
+        _, _, potential = replica_potential(cfg, 0)
+        phi = potential.phi
         counts = [_perron_core(p, 2, 10, DEFAULT_MAX_ITERS)[4]
                   for p in (phi, _reverse(phi, 2, 10))]
-        assert power_iterate(L).iterations == counts[0]
-        assert eigenmeasure(L)[1:] == (counts[1], True)
+        assert power_iterate(potential).iterations == counts[0]
+        assert eigenmeasure(potential)[1:] == (counts[1], True)
         del core_runs[:]
         row = _replica_row((cfg, 0))
         assert core_runs == [counts[0]]
@@ -212,12 +212,11 @@ class TestPressureRow:
     def test_matches_hand_built_sample(self):
         cfg = ReplicaConfig(level=6, beta=1.0, master_seed=5, replicas=3)
         grid = brownian.sample(6, B2, derive_seed(5, 2))
-        L = TransferOperator(build_potential(grid, 1.0))
-        want = pressure_sample(L, power_iterate(L), grid)
+        potential = build_potential(grid, 1.0)
+        want = pressure_sample(potential, power_iterate(potential))
         got = pressure_row((cfg, 2))
         assert got.log_lambda == want.log_lambda
-        assert (got.variational_lb, got.slack) == \
-            (want.variational_lb, want.slack)
+        assert got.variational_lb == want.variational_lb
 
     def test_unconverged_is_none(self, monkeypatch):
         # forked rows inherit the patch
@@ -309,10 +308,10 @@ class TestAggregate:
         assert rep.n_failed == 0
         assert rep.bound_violations == {"lower": 0, "upper": 0, "positivity": 0}
         for r in rows:
-            L = replica_operator(cfg, r.index)[2]
-            res = power_iterate(L)
+            potential = replica_potential(cfg, r.index)[2]
+            res = power_iterate(potential)
             assert res.eigenvalue == r.eigenvalue
-            ratio = ratio_representation(L, res)
+            ratio = ratio_representation(potential, res)
             assert abs(ratio - res.eigenvalue) / res.eigenvalue <= 1e-10
         assert all(r.positive_ok and math.isfinite(r.log_floor) for r in rows)
         assert rep.positivity_log_floor == min(r.log_floor for r in rows)

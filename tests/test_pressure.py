@@ -8,12 +8,13 @@ from oracles import (all_words, bernoulli_values, birkhoff_iterates,
 from ruelle_rand import transfer
 from ruelle_rand.brownian import sample, stats
 from ruelle_rand.montecarlo import mean_stderr
-from ruelle_rand.pressure import (DEFAULT_P_GRID, _digit_tables,
-                                  bernoulli_lower_bound, birkhoff_pressure,
-                                  pressure_band, pressure_sample,
-                                  quenched_report, variational_slack)
+from ruelle_rand.pressure import (DEFAULT_P_GRID, PressureSample,
+                                  _digit_tables, bernoulli_lower_bound,
+                                  birkhoff_pressure, pressure_band,
+                                  pressure_sample, quenched_report,
+                                  variational_slack)
 from ruelle_rand.symbolic import Alphabet
-from ruelle_rand.transfer import (PotentialField, TransferOperator,
+from ruelle_rand.transfer import (DEFAULT_TOL, PotentialField,
                                   build_potential, power_iterate)
 
 B2 = Alphabet(2)
@@ -26,48 +27,48 @@ ORACLE_CASES = ([(2, n) for n in (1, 2, 5, 10, 16)]
 
 def seeded(level, seed, beta=1.0, alphabet=B2):
     grid = sample(level, alphabet, seed)
-    L = TransferOperator(build_potential(grid, beta))
-    return L, power_iterate(L), grid
+    potential = build_potential(grid, beta)
+    return potential, power_iterate(potential), grid
 
 
 class TestBirkhoff:
     def test_zero_potential_every_entry_log_m(self):
         phi = np.zeros(16)
-        L = TransferOperator(PotentialField(4, B2, 1.0, phi))
-        seq = birkhoff_pressure(L, 0b0110, 12)
+        potential = PotentialField(4, B2, 1.0, phi)
+        seq = birkhoff_pressure(potential, 0b0110, 12)
         assert np.allclose(seq, math.log(2), rtol=1e-14, atol=0)
 
     def test_converges_to_log_eigenvalue(self):
-        L, r, _ = seeded(10, 7)
-        seq = birkhoff_pressure(L, 0, 256)
+        potential, r, _ = seeded(10, 7)
+        seq = birkhoff_pressure(potential, 0, 256)
         assert abs(seq[-1] - r.log_eigenvalue) <= 0.01
 
     def test_near_log_eigenvalue_at_kmax_64(self):
-        L, r, _ = seeded(8, 41)
-        seq = birkhoff_pressure(L, 0, 64)
+        potential, r, _ = seeded(8, 41)
+        seq = birkhoff_pressure(potential, 0, 64)
         assert seq.shape == (64,)
         assert abs(seq[-1] - r.log_eigenvalue) <= 0.05
 
     def test_limit_independent_of_base_word(self):
-        L, _, _ = seeded(8, 17)
+        potential, _, _ = seeded(8, 17)
         rng = np.random.default_rng(3)
         finals = []
         for ix in rng.integers(0, 2**8, size=5):
-            finals.append(birkhoff_pressure(L, int(ix), 512)[-1])
+            finals.append(birkhoff_pressure(potential, int(ix), 512)[-1])
         assert max(finals) - min(finals) <= 0.01
 
     @pytest.mark.parametrize("alphabet,level", [(B2, 5), (B3, 3)])
     def test_matches_dense_iterates_at_every_word(self, alphabet, level):
         # (1/k) log (A^k 1)[ix] from the entrywise matrix, k = 1..6
-        L, _, _ = seeded(level, 23, alphabet=alphabet)
-        A = dense_matrix(L.potential)
+        potential, _, _ = seeded(level, 23, alphabet=alphabet)
+        A = dense_matrix(potential)
         v, want = np.ones(A.shape[0]), []
         for k in range(1, 7):
             v = A @ v
             want.append(np.log(v) / k)
         want = np.array(want)
         for ix in range(A.shape[0]):
-            got = birkhoff_pressure(L, ix, 6)
+            got = birkhoff_pressure(potential, ix, 6)
             assert np.allclose(got, want[:, ix], rtol=1e-13, atol=0), ix
 
     def test_bits_of_the_depth_n_iterates(self, monkeypatch):
@@ -82,27 +83,27 @@ class TestBirkhoff:
         default = transfer._BLOCK_HEADS
         for m, n, beta, seed in cases:
             grid = sample(n, Alphabet(m), seed)
-            L = TransferOperator(build_potential(grid, beta))
+            potential = build_potential(grid, beta)
             words = [0, m**n // 3, m**n - 1]
-            want = birkhoff_iterates(L, words, 32)
+            want = birkhoff_iterates(potential, words, 32)
             for block in (default, 2) if n <= 5 else (default,):
                 monkeypatch.setattr(transfer, "_BLOCK_HEADS", block)
                 for i, ix in enumerate(words):
-                    got = birkhoff_pressure(L, ix, 32)
+                    got = birkhoff_pressure(potential, ix, 32)
                     assert got.tobytes() == want[:, i].tobytes(), \
                         (m, n, beta, seed, ix, block)
 
     def test_kmax_validated(self):
-        L, _, _ = seeded(3, 1)
+        potential, _, _ = seeded(3, 1)
         with pytest.raises(ValueError):
-            birkhoff_pressure(L, 0, 0)
+            birkhoff_pressure(potential, 0, 0)
 
     def test_wrong_depth_rejected(self):
         # an index past m^n names no depth-n word
-        L, _, _ = seeded(3, 1)
+        potential, _, _ = seeded(3, 1)
         for ix in (-1, 2**3, 2**4):
             with pytest.raises(ValueError):
-                birkhoff_pressure(L, ix, 4)
+                birkhoff_pressure(potential, ix, 4)
 
 
 class TestBernoulliBound:
@@ -128,21 +129,21 @@ class TestBernoulliBound:
         assert p == pytest.approx(0.5, abs=1e-12)
 
     def test_product_measure_integral_matches_direct_sum(self):
-        L, _, _ = seeded(5, 23)
+        potential, _, _ = seeded(5, 23)
         p = 0.3
         q = np.array([0.7, 0.3])
         mu = np.ones(1)
         for _ in range(5):
             mu = np.kron(mu, q)  # MSB-first product weights
-        direct = float(mu @ L.potential.phi)
+        direct = float(mu @ potential.phi)
         q_ent = float(-(q * np.log(q)).sum())
-        value, _ = bernoulli_lower_bound(L.potential, p_grid=[p])
+        value, _ = bernoulli_lower_bound(potential, p_grid=[p])
         assert value == pytest.approx(q_ent + direct, rel=1e-12)
 
     def test_lower_bound_below_log_lambda(self):
         for seed in (31, 32, 33):
-            L, r, _ = seeded(8, seed)
-            value, _ = bernoulli_lower_bound(L.potential)
+            potential, r, _ = seeded(8, seed)
+            value, _ = bernoulli_lower_bound(potential)
             assert value <= r.log_eigenvalue + 1e-10
 
     @pytest.mark.parametrize("m,n", ORACLE_CASES)
@@ -214,12 +215,11 @@ class TestSlack:
 
 class TestPressureSample:
     def test_fields_coherent(self):
-        L, r, g = seeded(8, 41)
-        s = pressure_sample(L, r, g)
+        potential, r, g = seeded(8, 41)
+        s = pressure_sample(potential, r)
         assert s.log_lambda == r.log_eigenvalue
         assert s.variational_lb <= s.log_lambda + 1e-10
-        assert s.variational_lb == bernoulli_lower_bound(L.potential)[0]
-        assert s.slack > 0
+        assert s.variational_lb == bernoulli_lower_bound(potential)[0]
 
 
 class TestMeanStderr:
@@ -238,9 +238,9 @@ class TestQuenchedReport:
         samples = []
         for seed in range(8):
             g = sample(6, B2, seed, zero_noise=True)
-            L = TransferOperator(build_potential(g, 1.0))
-            r = power_iterate(L)
-            samples.append(pressure_sample(L, r, g))
+            potential = build_potential(g, 1.0)
+            r = power_iterate(potential)
+            samples.append(pressure_sample(potential, r))
         rep = quenched_report(samples, B2, 1.0)
         assert rep["n"] == 8
         assert rep["mean_log_lambda"] == pytest.approx(math.log(2), rel=1e-12)
@@ -252,8 +252,8 @@ class TestQuenchedReport:
     def test_seeded_batch(self):
         samples = []
         for seed in range(48):
-            L, r, g = seeded(10, 3000 + seed)
-            samples.append(pressure_sample(L, r, g))
+            potential, r, g = seeded(10, 3000 + seed)
+            samples.append(pressure_sample(potential, r))
         rep = quenched_report(samples, B2, 1.0)
         assert rep["all_positive"]
         assert rep["jensen_ok"]
@@ -277,15 +277,32 @@ class TestQuenchedReport:
         assert quenched_report([None, None], B2, 1.0) is None
 
     def test_unconverged_replicas_counted(self):
-        samples = [pressure_sample(*seeded(6, 200 + i)) for i in range(3)]
+        samples = [pressure_sample(*seeded(6, 200 + i)[:2]) for i in range(3)]
         rep = quenched_report([None, samples[0], None, samples[1], samples[2]],
                               B2, 1.0)
         assert rep == {**quenched_report(samples, B2, 1.0), "n_failed": 2}
         assert rep["n"] == 3
 
+    def test_variational_gap_allows_the_solve_tolerance(self):
+        x = 0.5
+        tol = DEFAULT_TOL * (1 + x)
+        within = PressureSample(log_lambda=x, variational_lb=x + tol / 2)
+        past = PressureSample(log_lambda=x, variational_lb=x + 2 * tol)
+        rep = quenched_report([within, past, within], B2, 1.0)
+        assert rep["variational_violations"] == 1
+        assert rep["worst_variational_gap"] == pytest.approx(2 * tol)
+
+    def test_jensen_allows_rounding(self):
+        # log(exp(1e-16)) is 0: the sample's own AM-GM order fails in
+        # float64 by 1e-16, well inside the solve's tolerance
+        x = 1e-16
+        assert math.log(math.exp(x)) < x
+        samples = [PressureSample(log_lambda=x, variational_lb=0.0)] * 4
+        assert quenched_report(samples, B2, 1e-16)["jensen_ok"]
+
     def test_jensen_is_equality_for_constant_batch(self):
-        L, r, g = seeded(6, 91)
-        samples = [pressure_sample(L, r, g)] * 5
+        potential, r, g = seeded(6, 91)
+        samples = [pressure_sample(potential, r)] * 5
         rep = quenched_report(samples, B2, 1.0)
         assert rep["jensen_ok"]
         assert rep["stderr"] == 0.0
