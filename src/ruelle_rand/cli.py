@@ -19,6 +19,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -33,6 +34,9 @@ from .transfer import (build_potential, lambda_overflow, pathwise_bounds,
 
 _USAGE_EXIT = 1
 _VIOLATION_EXIT = 2
+# the worker count's fallback; only the CLI reads it, and a library call
+# runs with the workers it is given
+WORKERS_ENV = "RUELLE_RAND_WORKERS"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,13 +71,23 @@ def _all_failed() -> int:
     return _VIOLATION_EXIT
 
 
-def _config_dict(args, skip=("func", "subcommand")) -> dict:
-    cfg = {}
-    for k, v in sorted(vars(args).items()):
-        if k in skip or callable(v):
-            continue
-        cfg[k] = v
-    return cfg
+def _config_dict(args) -> dict:
+    return {k: v for k, v in sorted(vars(args).items())
+            if not (k == "subcommand" or callable(v))}
+
+
+def resolve_workers(workers: int | None = None) -> int:
+    """Explicit argument, else the RUELLE_RAND_WORKERS env var, else 1."""
+    if workers is None:
+        env = os.environ.get(WORKERS_ENV, "").strip()
+        try:
+            workers = int(env) if env else 1
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV}={env!r} is not an integer "
+                             f"worker count") from None
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    return workers
 
 
 def _replica_config(args, level: int):
@@ -94,7 +108,6 @@ def _resolved_beta(args) -> float:
 def _cmd_sample_path(args) -> int:
     grid = brownian.sample(args.level, Alphabet(args.alphabet), args.seed,
                            zero_noise=args.zero_noise)
-    st = brownian.stats(grid, args.gamma)
     csv_path = args.csv
     if csv_path:
         n = grid.values.size - 1
@@ -106,10 +119,7 @@ def _cmd_sample_path(args) -> int:
         "seed": args.seed,
         "zero_noise": bool(args.zero_noise),
         "b1": float(grid.values[-1]),
-        "stats": {
-            "max": st.max, "min": st.min, "integral": st.integral,
-            "holder_constant": st.holder_constant, "gamma": st.gamma,
-        },
+        "stats": dataclasses.asdict(brownian.stats(grid, args.gamma)),
     }
     return _emit(args, rep, csv_path)
 
@@ -211,7 +221,7 @@ def _cmd_pressure(args) -> int:
     if args.kmax < 1:
         raise ValueError("kmax must be >= 1")
     results = montecarlo.map_replicas(pressure.pressure_row, config,
-                                      args.workers)
+                                      resolve_workers(args.workers))
     rep = pressure.quenched_report(results, config.alphabet, config.beta)
     if rep is None:
         return _all_failed()
@@ -230,7 +240,8 @@ def _cmd_pressure(args) -> int:
 def _cmd_montecarlo(args) -> int:
     from . import montecarlo
 
-    rows, mc = montecarlo.run(_replica_config(args, args.level), args.workers)
+    rows, mc = montecarlo.run(_replica_config(args, args.level),
+                              resolve_workers(args.workers))
     if mc is None:
         return _all_failed()
     if args.csv:
@@ -249,7 +260,7 @@ def _cmd_refine_study(args) -> int:
     from . import montecarlo
 
     rep = montecarlo.refinement_study(_replica_config(args, levels[0]), levels,
-                                      args.workers)
+                                      resolve_workers(args.workers))
     if rep is None:
         return _all_failed()
     return _emit(args, rep, ok=rep["n_failed"] == 0 and rep["decreasing"])

@@ -3,19 +3,20 @@ sample -> spectrum batch, the batch statistics, order-stable aggregation,
 and the expectation-bound checks. It imports no other batch: pressure's
 row lives beside its report.
 
-Replica i always runs under seed derive_seed(master_seed, i), so the
-result set is a pure function of the config. Workers only change the
-schedule; aggregation consumes rows in replica-index order, making the
-report bitwise identical for any worker count.
+Every row is row(config, i) on replica i's path from replica_potential,
+under seed derive_seed(master_seed, i), so the result set is a pure
+function of the config. The worker count is the caller's argument (the
+engine reads no environment) and only changes the schedule; aggregation
+consumes rows in replica-index order, making the report bitwise identical
+for any worker count.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -25,8 +26,6 @@ from ._rng import derive_seed
 from .symbolic import Alphabet
 from .transfer import (build_potential, lambda_overflow, pathwise_bounds,
                        power_iterate)
-
-WORKERS_ENV = "RUELLE_RAND_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -92,20 +91,6 @@ class McReport:
         return d
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    """Explicit argument, else the RUELLE_RAND_WORKERS env var, else 1."""
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV, "").strip()
-        try:
-            workers = int(env) if env else 1
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV}={env!r} is not an integer "
-                             f"worker count") from None
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    return workers
-
-
 def chunk_size(replicas: int, workers: int) -> int:
     """Replicas per chunk of a work-shared map: about 16 chunks a worker,
     so that the last chunk to finish keeps the others idle for a small
@@ -125,7 +110,7 @@ def _claim(counter, chunks: int) -> int | None:
 
 def _map_chunk(fn, config: ReplicaConfig, size: int, chunk: int) -> list:
     stop = min((chunk + 1) * size, config.replicas)
-    return [fn((config, i)) for i in range(chunk * size, stop)]
+    return [fn(config, i) for i in range(chunk * size, stop)]
 
 
 def _child(fn, config: ReplicaConfig, size: int, chunks: int, counter,
@@ -143,9 +128,10 @@ def _child(fn, config: ReplicaConfig, size: int, chunks: int, counter,
     conn.send(done)
 
 
-def map_replicas(fn, config: ReplicaConfig, workers: int | None = None) -> list:
-    """[fn((config, i)) for every replica index i], in index order for any
-    worker count. The only replica loop: every batch runs through it.
+def map_replicas(fn, config: ReplicaConfig, workers: int = 1) -> list:
+    """[fn(config, i) for every replica index i], in index order for any
+    worker count. The only replica loop: every batch runs through it, and
+    it reads no environment: the CLI resolves the worker count.
 
     Work sharing: the replicas are cut into chunks of chunk_size, and the
     parent and up to workers - 1 forked children claim chunks from one
@@ -159,7 +145,8 @@ def map_replicas(fn, config: ReplicaConfig, workers: int | None = None) -> list:
     that no child imports it on its first row. A batch of one chunk, or one
     worker, runs in the parent alone and never loads multiprocessing.
     """
-    workers = resolve_workers(workers)
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     size = chunk_size(config.replicas, workers)
     chunks = -(-config.replicas // size)
     if workers == 1 or chunks == 1:
@@ -214,14 +201,14 @@ def map_replicas(fn, config: ReplicaConfig, workers: int | None = None) -> list:
 
 
 def replica_potential(config: ReplicaConfig, i: int):
-    """Replica i's derived seed, sampled grid and potential."""
+    """Replica i's derived seed, sampled grid and potential: the one place
+    a replica's path is drawn."""
     seed = derive_seed(config.master_seed, i)
     grid = brownian.sample(config.level, config.alphabet, seed)
     return seed, grid, build_potential(grid, config.beta)
 
 
-def _replica_row(arg: tuple[ReplicaConfig, int]) -> ReplicaRow:
-    config, i = arg
+def _replica_row(config: ReplicaConfig, i: int) -> ReplicaRow:
     seed, grid, potential = replica_potential(config, i)
     m1 = float(np.max(grid.values))
     res = power_iterate(potential)
@@ -251,7 +238,7 @@ def _replica_row(arg: tuple[ReplicaConfig, int]) -> ReplicaRow:
     )
 
 
-def run_replicas(config: ReplicaConfig, workers: int | None = None) -> list[ReplicaRow]:
+def run_replicas(config: ReplicaConfig, workers: int = 1) -> list[ReplicaRow]:
     """All replica rows, in replica-index order regardless of schedule."""
     return map_replicas(_replica_row, config, workers)
 
@@ -332,7 +319,7 @@ def aggregate(config: ReplicaConfig, rows: list[ReplicaRow],
 
 
 def run(config: ReplicaConfig,
-        workers: int | None = None) -> tuple[list[ReplicaRow], McReport | None]:
+        workers: int = 1) -> tuple[list[ReplicaRow], McReport | None]:
     """The batch's rows and aggregate's report, wall_time covering the
     replicas."""
     t0 = time.perf_counter()
@@ -340,18 +327,19 @@ def run(config: ReplicaConfig,
     return rows, aggregate(config, rows, time.perf_counter() - t0)
 
 
-def _study_row(levels: tuple[int, ...],
-               arg: tuple[ReplicaConfig, int]) -> list[float] | None:
-    """Replica's log lambda at each level, or None as soon as one of its
-    solves does not converge."""
-    config, i = arg
-    seed = derive_seed(config.master_seed, i)
-    grid = brownian.sample(levels[0], config.alphabet, seed)
+def _study_row(levels: tuple[int, ...], config: ReplicaConfig,
+               i: int) -> list[float] | None:
+    """Replica's log lambda at each level, its path refined from the
+    levels[0] grid, or None as soon as one of its solves does not
+    converge."""
+    _, grid, potential = replica_potential(replace(config, level=levels[0]), i)
     logs = []
     for target in levels:
         while grid.level < target:
             grid = brownian.refine(grid)
-        res = power_iterate(build_potential(grid, config.beta))
+        if potential.level < target:
+            potential = build_potential(grid, config.beta)
+        res = power_iterate(potential)
         if not res.converged:
             return None
         logs.append(res.log_eigenvalue)
@@ -359,7 +347,7 @@ def _study_row(levels: tuple[int, ...],
 
 
 def refinement_study(config: ReplicaConfig, levels,
-                     workers: int | None = None) -> dict | None:
+                     workers: int = 1) -> dict | None:
     """Coupled-path depth study: each replica's single Brownian path is
     refined through the given levels and the eigenvalue recomputed; the
     mean absolute drift of log lambda per adjacent level pair must shrink

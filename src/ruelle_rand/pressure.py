@@ -170,10 +170,9 @@ def pressure_sample(potential: PotentialField,
     return PressureSample(log_lambda=result.log_eigenvalue, variational_lb=lb)
 
 
-def pressure_row(arg: tuple[ReplicaConfig, int]) -> PressureSample | None:
+def pressure_row(config: ReplicaConfig, i: int) -> PressureSample | None:
     """Replica's PressureSample, or None when its right solve did not
     converge."""
-    config, i = arg
     _, _, potential = replica_potential(config, i)
     res = power_iterate(potential)
     if not res.converged:

@@ -77,13 +77,9 @@ def build_manifest(subcommand: str, config: dict, version: str,
     }
 
 
-def envelope(manifest: dict, report: dict) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "manifest": manifest,
-            "report": report}
-
-
 def dumps_envelope(manifest: dict, report: dict) -> str:
-    return dumps(envelope(manifest, report)) + "\n"
+    return dumps({"schema_version": SCHEMA_VERSION, "manifest": manifest,
+                  "report": report}) + "\n"
 
 
 @contextlib.contextmanager

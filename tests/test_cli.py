@@ -151,11 +151,11 @@ import os, sys, time
 from ruelle_rand import cli, montecarlo
 parent, row = os.getpid(), montecarlo._replica_row
 
-def dying(arg):
+def dying(config, i):
     if os.getpid() != parent:
         os._exit(3)
     time.sleep(0.2)
-    return row(arg)
+    return row(config, i)
 
 montecarlo._replica_row = dying
 sys.exit(cli.dispatch(["montecarlo", "--level", "4", "--replicas", "8",
@@ -175,9 +175,9 @@ row = {"montecarlo": montecarlo._replica_row,
        "pressure": pressure.pressure_row,
        "refine-study": partial(montecarlo._study_row, (6, 7, 8))}[sys.argv[1]]
 
-def loads(arg):
+def loads(config, i):
     before = set(sys.modules)
-    row(arg)
+    row(config, i)
     loaded = sorted(set(sys.modules) - before)
     if os.getpid() == parent:
         time.sleep(0.05)
@@ -185,6 +185,20 @@ def loads(arg):
 
 config = montecarlo.ReplicaConfig(level=8, replicas=32)
 print(json.dumps(montecarlo.map_replicas(loads, config, 2)))
+"""
+
+
+# A montecarlo run through dispatch with extra CLI arguments: its exit code
+# and report, and whether it loaded multiprocessing.
+WORKERS_ENV_PROBE = """\
+import contextlib, io, json, sys
+from ruelle_rand.cli import dispatch
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = dispatch(["montecarlo", "--level", "4", "--replicas", "16",
+                     *sys.argv[1:]])
+print(json.dumps({"code": code, "report": json.loads(out.getvalue())["report"],
+                  "pool": "multiprocessing" in sys.modules}))
 """
 
 
@@ -969,7 +983,28 @@ class TestMontecarlo:
     def test_workers_help_names_the_env_var(self, capsys):
         code, out, _ = run_cli(capsys, "montecarlo", "--help")
         assert code == 0
-        assert f"${montecarlo.WORKERS_ENV}" in out
+        assert f"${cli.WORKERS_ENV}" in out
+
+    def test_workers_env_still_sets_the_cli_default(self):
+        # the CLI resolves the variable and hands the count to the engine
+        base = {k: v for k, v in os.environ.items()
+                if k != "RUELLE_RAND_WORKERS"}
+        runs = [json.loads(subprocess.run(
+            [sys.executable, "-c", WORKERS_ENV_PROBE, *argv],
+            capture_output=True, text=True, timeout=60, check=True,
+            env=dict(base, PYTHONPATH=SRC, **env)).stdout)
+            for argv, env in (([], {"RUELLE_RAND_WORKERS": "2"}),
+                              (["--workers", "1"], {}))]
+        assert runs[0]["pool"]
+        assert runs[0]["code"] == runs[1]["code"]
+        assert runs[0]["report"] == runs[1]["report"]
+
+    def test_only_the_cli_reads_the_environment(self):
+        readers = sorted(
+            p.name for p in (ROOT / "src" / "ruelle_rand").glob("*.py")
+            if any(s in p.read_text(encoding="utf-8")
+                   for s in ("os.environ", "getenv")))
+        assert readers == ["cli.py"]
 
     def test_bad_workers_env(self, capsys, monkeypatch):
         monkeypatch.setenv("RUELLE_RAND_WORKERS", "zero")

@@ -11,11 +11,11 @@ import pytest
 
 from ruelle_rand import brownian, montecarlo, pressure, transfer
 from ruelle_rand._rng import derive_seed
+from ruelle_rand.cli import resolve_workers
 from ruelle_rand.montecarlo import (ReplicaConfig, _replica_row, aggregate,
                                     chunk_size, map_replicas,
                                     refinement_study, replica_potential,
-                                    resolve_workers, run, run_replicas,
-                                    tightened_upper_check)
+                                    run, run_replicas, tightened_upper_check)
 from ruelle_rand.pressure import pressure_row, pressure_sample
 from ruelle_rand.transfer import (DEFAULT_MAX_ITERS, _perron_core,
                                   build_potential, power_iterate,
@@ -27,23 +27,28 @@ from oracles import _reverse, eigenmeasure
 B2 = Alphabet(2)
 
 
-def _pid_row(arg):
+def _pid_row(config, i):
     """The process that mapped the replica."""
     return os.getpid()
 
 
-def _skewed_row(arg):
+def _slow_pid_row(config, i):
+    """The process that mapped the replica, after a wait long enough for
+    a forked child to claim a chunk."""
+    time.sleep(0.005)
+    return os.getpid()
+
+
+def _skewed_row(config, i):
     """The replica's index, after a wait that is longest on the lowest
     indices: the chunks claimed first finish last."""
-    _, i = arg
     time.sleep(max(0, 24 - i) * 2e-4)
     return i
 
 
-def _failing_row(parent, side, log, arg):
+def _failing_row(parent, side, log, config, i):
     """The replica's index after a short wait, logged by the process that
     mapped it; raises on side ("parent" or "child") past replica 0."""
-    _, i = arg
     here = "parent" if os.getpid() == parent else "child"
     if here == side and i > 0:
         raise ValueError(f"row {i} failed in the {side}")
@@ -119,7 +124,7 @@ class TestResolveWorkers:
 class TestReplicaRow:
     def test_beta_zero_exact(self):
         cfg = ReplicaConfig(level=6, beta=0.0, master_seed=5)
-        row = _replica_row((cfg, 0))
+        row = _replica_row(cfg, 0)
         assert row.eigenvalue == 2.0
         assert row.converged
         # rows carry no residual or ratio identity: the solve's own, on the
@@ -132,7 +137,7 @@ class TestReplicaRow:
 
     def test_seed_derivation_and_path_fields(self):
         cfg = ReplicaConfig(level=7, beta=1.0, master_seed=40, replicas=3)
-        row = _replica_row((cfg, 2))
+        row = _replica_row(cfg, 2)
         assert row.index == 2
         assert row.seed == derive_seed(40, 2)
         g = brownian.sample(7, B2, row.seed)
@@ -145,7 +150,7 @@ class TestReplicaRow:
         monkeypatch.setattr(montecarlo, "power_iterate",
                             partial(power_iterate, max_iters=5))
         cfg = ReplicaConfig(level=8, beta=1.0, master_seed=43)
-        row = _replica_row((cfg, 0))
+        row = _replica_row(cfg, 0)
         assert core_runs == [5]
         assert not row.converged
         assert row.iterations == 5
@@ -188,7 +193,7 @@ class TestReplicaRow:
         assert not ok and iters == right
         monkeypatch.setattr(montecarlo, "power_iterate",
                             partial(power_iterate, max_iters=right))
-        row = _replica_row((cfg, 0))
+        row = _replica_row(cfg, 0)
         assert row.converged
         assert row.iterations == right
         assert power_iterate(potential, right).residual <= 1e-11
@@ -203,7 +208,7 @@ class TestReplicaRow:
         assert power_iterate(potential).iterations == counts[0]
         assert eigenmeasure(potential)[1:] == (counts[1], True)
         del core_runs[:]
-        row = _replica_row((cfg, 0))
+        row = _replica_row(cfg, 0)
         assert core_runs == [counts[0]]
         assert row.converged and row.iterations == counts[0]
 
@@ -214,7 +219,7 @@ class TestPressureRow:
         grid = brownian.sample(6, B2, derive_seed(5, 2))
         potential = build_potential(grid, 1.0)
         want = pressure_sample(potential, power_iterate(potential))
-        got = pressure_row((cfg, 2))
+        got = pressure_row(cfg, 2)
         assert got.log_lambda == want.log_lambda
         assert got.variational_lb == want.variational_lb
 
@@ -247,6 +252,13 @@ class TestDeterminism:
         # the parent maps the first share of indices itself
         assert pids[0] == os.getpid()
         assert len(set(pids)) <= min(workers, replicas)
+
+    def test_library_map_reads_no_environment(self, monkeypatch):
+        # only the CLI reads the variable: a map without workers runs in
+        # the parent alone
+        monkeypatch.setenv("RUELLE_RAND_WORKERS", "2")
+        cfg = ReplicaConfig(level=4, replicas=16)
+        assert map_replicas(_slow_pid_row, cfg) == [os.getpid()] * 16
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_skewed_rows_come_back_in_index_order(self, workers):
@@ -423,6 +435,15 @@ class TestRefinementStudy:
         assert out["decreasing"]
         assert all(x > 0 for x in d)
         assert d[0] >= 1.5 * d[-1]
+
+    def test_rows_are_the_montecarlo_rows(self):
+        # one path for every batch: a study row solves replica i's path at
+        # each level as the montecarlo row at that level does, bit for bit
+        cfg = ReplicaConfig(level=9, beta=1.0, master_seed=17, replicas=4)
+        for i in range(4):
+            want = [_replica_row(replace(cfg, level=level), i).log_eigenvalue
+                    for level in (6, 8)]
+            assert montecarlo._study_row((6, 8), cfg, i) == want
 
     def test_workers_do_not_change_study(self):
         cfg = ReplicaConfig(level=5, beta=1.0, master_seed=4, replicas=8)
