@@ -20,6 +20,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import dataclasses
+import gc
 import math
 import sys
 
@@ -27,7 +28,6 @@ import numpy as np
 
 from . import __version__, brownian, report
 from ._rng import derive_seed, level_stream
-from .skorokhod import StepFunction, sup_norm, theta, theta_inverse
 from .symbolic import Alphabet
 from .transfer import (build_potential, lambda_overflow, pathwise_bounds,
                        power_iterate, ratio_representation)
@@ -179,6 +179,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_isometry_check(args) -> int:
+    from .skorokhod import StepFunction, sup_norm, theta, theta_inverse
+
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
     alphabet = Alphabet(args.alphabet)
@@ -427,6 +429,10 @@ def dispatch(argv) -> int:
 
 
 def main() -> None:
+    # the import heap lives until exit; frozen, no later collection walks
+    # it, and neither does the one at shutdown. dispatch, a library call,
+    # leaves the caller's collector alone
+    gc.freeze()
     sys.exit(dispatch(sys.argv[1:]))
 
 

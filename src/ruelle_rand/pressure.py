@@ -108,6 +108,37 @@ def _digit_tables(m: int, n: int):
     return s, r
 
 
+@lru_cache(maxsize=4)
+def _grid_tables(m: int, n: int, p_bytes: bytes):
+    """(entropy, law, scale) for the Bernoulli bound at depth n over the p
+    grid whose float64 values are p_bytes: entropy[i] the letter law's
+    entropy at p_i, law[i, s] the Binomial(N, p_i) pmf with N = n(m-1), and
+    scale[s] = 1 / C(N, s) for m = 2 (None otherwise, where _digit_tables'
+    r carries it).
+
+    None of these reads phi, so every replica of a batch shares them. The
+    cache keys on the grid's values, never on the array's identity, so two
+    grids share tables only if they are equal.
+    """
+    p_grid = np.frombuffer(p_bytes)
+    if p_grid.size == 0:
+        raise ValueError("empty p grid")
+    if np.any(p_grid <= 0) or np.any(p_grid >= 1):
+        raise ValueError("p grid must lie inside (0, 1)")
+    N = n * (m - 1)
+    if p_grid.size * (N + 1) > MAX_CELLS:
+        raise ValueError(f"Bernoulli bound over {p_grid.size} values of p and "
+                         f"{N + 1} digit sums exceeds the budget of {MAX_CELLS}")
+    log_q = _log_binomial(m - 1, p_grid)
+    entropy = -(np.exp(log_q) * log_q).sum(axis=1)
+    law = np.exp(_log_binomial(N, p_grid))
+    scale = np.exp(-_log_comb(N)) if m == 2 else None
+    for table in (entropy, law, scale):
+        if table is not None:
+            table.setflags(write=False)
+    return entropy, law, scale
+
+
 def bernoulli_lower_bound(potential: PotentialField,
                           p_grid=DEFAULT_P_GRID) -> tuple[float, float]:
     """Best variational lower bound over the Bernoulli(p) family:
@@ -116,35 +147,29 @@ def bernoulli_lower_bound(potential: PotentialField,
 
     with q_p the per-letter law (Binomial(m-1, p); for m = 2 the familiar
     (1-p, p)) and mu_p the product measure. Returns (best_value, best_p),
-    the first maximum along p_grid.
+    the first maximum along p_grid, a 1-D grid inside (0, 1).
 
     One pass over the words serves the whole grid. Under mu_p the digit sum
     s(w) is Binomial(N, p) with N = n(m-1), and given s the word has the
     p-free law r(w) = C(w) / C(N, s) of _digit_tables, since
     mu_p([w]) = C(w) p^s (1-p)^(N-s). So the integral is
     sum_s Binomial(N, p)(s) E[phi | s], and E[phi | s] is one bincount.
+    Everything else depends on (m, n) and the grid alone (_digit_tables,
+    _grid_tables), and is built once per batch.
     """
     p_grid = np.asarray(p_grid, dtype=float)
-    if p_grid.size == 0:
-        raise ValueError("empty p grid")
-    if np.any(p_grid <= 0) or np.any(p_grid >= 1):
-        raise ValueError("p grid must lie inside (0, 1)")
     m = potential.alphabet.m
     n = potential.level
     N = n * (m - 1)
-    if p_grid.size * (N + 1) > MAX_CELLS:
-        raise ValueError(f"Bernoulli bound over {p_grid.size} values of p and "
-                         f"{N + 1} digit sums exceeds the budget of {MAX_CELLS}")
+    entropy, law, scale = _grid_tables(m, n, p_grid.tobytes())
     s, r = _digit_tables(m, n)
     phi = potential.phi
     if r is None:  # m = 2
         cond = np.bincount(s, weights=phi, minlength=N + 1)
-        cond *= np.exp(-_log_comb(N))
+        cond *= scale
     else:
         cond = np.bincount(s, weights=r * phi, minlength=N + 1)
-    log_q = _log_binomial(m - 1, p_grid)
-    entropy = -(np.exp(log_q) * log_q).sum(axis=1)
-    values = entropy + np.exp(_log_binomial(N, p_grid)) @ cond
+    values = entropy + law @ cond
     best = int(np.argmax(values))
     return float(values[best]), float(p_grid[best])
 

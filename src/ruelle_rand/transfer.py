@@ -22,14 +22,18 @@ that bounds nu below through lambda alone (SpectralResult.log_floor).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .brownian import BrownianGrid
-from .skorokhod import CylinderFunction
 from .symbolic import Alphabet
+
+if TYPE_CHECKING:  # skorokhod loads only where h or apply is formed
+    from .skorokhod import CylinderFunction
 
 # a solve is converged once its Collatz-Wielandt bracket's relative width
 # is at most DEFAULT_TOL
@@ -46,6 +50,12 @@ _STALL_WINDOW = 10
 # weights, output and ratios (about 1.5 MiB at m = 2) stay in L2 between
 # the contraction and the bracket's min/max
 _BLOCK_HEADS = 2**14
+# a window runs up to _WINDOW applications per bracket computation (see
+# _perron_core), where _WINDOW quotient iterates fit in _WINDOW_CELLS cells:
+# to depth 12 at m = 2, where numpy's per-call cost is most of an
+# application; deeper, shorter or longer windows measured slower
+_WINDOW = 8
+_WINDOW_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -117,6 +127,8 @@ class SpectralResult:
 
     @cached_property
     def h(self) -> CylinderFunction:
+        from .skorokhod import CylinderFunction
+
         p = self.potential
         # past float64 an entry is inf, as lambda is: the values report it,
         # not a warning
@@ -137,6 +149,8 @@ def build_potential(grid: BrownianGrid, beta: float) -> PotentialField:
 
 
 def apply(potential: PotentialField, f: CylinderFunction) -> CylinderFunction:
+    from .skorokhod import CylinderFunction
+
     if f.level != potential.level or f.alphabet != potential.alphabet:
         raise ValueError("operator and function live at different levels")
     m = potential.alphabet.m
@@ -177,29 +191,37 @@ def _heads(v: np.ndarray, m: int, inner: int) -> np.ndarray:
     return np.broadcast_to(v.reshape(1, inner), (m, inner))
 
 
-def _plans(W: np.ndarray, F: np.ndarray, S: np.ndarray):
-    """Per-block views for one application F -> S and one for S -> F.
+def _plan(W: np.ndarray, src: np.ndarray, dst: np.ndarray,
+          ratio: np.ndarray):
+    """Per-block views for one application src -> dst.
 
     A block is the heads j0:j1: its weights W[:, :, j0:j1], its heads
-    F[a j], its strided output S[j b], the contiguous F and S slices its
-    Collatz-Wielandt ratios are taken over, and a block-sized ratio
-    buffer. Built once per weight build, so the loop makes no view.
+    src[a j], its strided output dst[j b], the contiguous dst and src
+    slices its Collatz-Wielandt ratios are taken over, and a block-sized
+    slice of ratio. Built once per weight build, so the loop makes no view.
     """
     m, last, inner = W.shape
     block = min(_BLOCK_HEADS, inner)
-    ratio = np.empty(block * last)
-    plans = []
-    for src, dst in ((F, S), (S, F)):
-        heads = _heads(src, m, inner)
-        out = dst.reshape(inner, last)
-        plan = []
-        for j0 in range(0, inner, block):
-            j1 = min(j0 + block, inner)
-            cells = slice(j0 * last, j1 * last)
-            plan.append((W[:, :, j0:j1], heads[:, j0:j1], out[j0:j1].T,
-                         dst[cells], src[cells], ratio[:(j1 - j0) * last]))
-        plans.append(plan)
-    return plans
+    heads = _heads(src, m, inner)
+    out = dst.reshape(inner, last)
+    plan = []
+    for j0 in range(0, inner, block):
+        j1 = min(j0 + block, inner)
+        cells = slice(j0 * last, j1 * last)
+        plan.append((W[:, :, j0:j1], heads[:, j0:j1], out[j0:j1].T,
+                     dst[cells], src[cells], ratio[:(j1 - j0) * last]))
+    return plan
+
+
+def _plans(W: np.ndarray, iterates: list, ratio: np.ndarray, rows: list):
+    """(steps, back) for the weights W: back is the plan iterates[1] ->
+    iterates[0], and steps[i] the plan iterates[i] -> iterates[i + 1]. With
+    no window rows that is the one step of _plan; a window's steps are its
+    rows, the views of one single-block application each, with W added."""
+    back = _plan(W, iterates[1], iterates[0], ratio)
+    if not rows:
+        return [_plan(W, iterates[0], iterates[1], ratio)], back
+    return [[(W, *row)] for row in rows], back
 
 
 def _perron_core(phi: np.ndarray, m: int, n: int, max_iters: int):
@@ -213,9 +235,29 @@ def _perron_core(phi: np.ndarray, m: int, n: int, max_iters: int):
     serves every beta. Stops when the Collatz-Wielandt bracket
     [min QF/F, max QF/F] has relative width <= DEFAULT_TOL. The update is
     F <- QF until the width stalls (near-cyclic large beta), then
-    F <- QF + lo F, which damps the eigenvalues near -lambda. Each application runs block
-    by block over _BLOCK_HEADS heads (see _plans); min and max are exact,
-    so the block size never changes a bit of the result.
+    F <- QF + lo F, which damps the eigenvalues near -lambda. Each
+    application runs block by block over _BLOCK_HEADS heads (see _plan);
+    min and max are exact, so the block size never changes a bit of the
+    result.
+
+    Where the quotient is one block and _WINDOW of its iterates fit in
+    _WINDOW_CELLS, the unshifted update runs in windows: up to _WINDOW
+    applications back to back into the rows of one array X, then all their
+    brackets from one divide and one row-wise min and max. The decisions
+    (breakdown, convergence, max_iters, stall -> shift, renormalize or
+    fold) are then taken row by row, in order, by the same code as the
+    one-application loop. Row i's application reads row i - 1, and its
+    bracket is that of the same two vectors, so up to the first decision
+    that stops or alters an iterate the rows are the one-application
+    loop's own, bit for bit; the window ends there, and the applications
+    after it are discarded. Those may divide by the zeros of a breakdown,
+    so the window runs under errstate(all="ignore"); a kept application
+    divides by a finite F > 0 and cannot warn.
+    _window_length guesses how many applications the next decision leaves,
+    from a bracket under the weights in use: the first application under
+    new weights runs alone.
+    The shifted update and deeper quotients run one application per
+    bracket.
 
     Returns (log H, c, lo, hi, iterations, converged, shift_at): H is the
     quotient eigenvector, e^c lo <= lambda <= e^c hi its bracket, and
@@ -223,66 +265,144 @@ def _perron_core(phi: np.ndarray, m: int, n: int, max_iters: int):
     """
     phi3 = _by_head(phi, m, n)
     _, inner, last = phi3.shape
+    cells = inner * last
+    block = min(_BLOCK_HEADS, inner)
+    # a window of one is the one-application loop
+    k = (_WINDOW if block == inner and 2 <= _WINDOW <= _WINDOW_CELLS // cells
+         else 0)
+    rows = []  # a window's per-application views, built once
+    if not k:
+        iterates = [np.empty(cells), np.empty(cells)]
+        ratio = np.empty(block * last)
+    else:
+        X = np.empty((k + 1, cells))
+        iterates = list(X)
+        ratio = np.empty(k * cells)
+        R = ratio.reshape(k, cells)
+        for src, dst, r in zip(iterates, iterates[1:], R):
+            rows.append((_heads(src, m, inner), dst.reshape(inner, last).T,
+                         dst, src, r))
+    F, S = iterates[0], iterates[1]
+    F.fill(1.0)
     psi = None  # the folded logs, allocated at the first fold
     W, c = _scaled_weights(phi3, psi)
-    F, S = np.ones(inner * last), np.empty(inner * last)
-    plan, other = _plans(W, F, S)
+    steps, back = _plans(W, iterates, ratio, rows)
+    plan, other = steps[0], back
     floor = top = 1.0  # bounds on min F and max F
     widths = []
     shift_at = None
     converged = False
-    for it in range(1, max_iters + 1):
-        lo, hi = np.inf, -np.inf
-        for w, heads, out, s, f, r in plan:
-            np.einsum("abj,aj->bj", w, heads, out=out)
-            np.divide(s, f, out=r)
-            block_lo, block_hi = np.minimum.reduce(r), np.maximum.reduce(r)
-            # a NaN block wins, as in one min and max over the whole vector
-            if block_lo < lo or block_lo != block_lo:
-                lo = block_lo
-            if block_hi > hi or block_hi != block_hi:
-                hi = block_hi
-        lo, hi = float(lo), float(hi)
-        if not 0.0 < lo <= hi < np.inf:
-            break
-        width = (hi - lo) / hi
-        converged = width <= DEFAULT_TOL
-        if converged or it == max_iters:
-            break
-        widths.append(width)
-        if (shift_at is None and it >= n + _STALL_WINDOW
-                and width > 0.5 * widths[-1 - _STALL_WINDOW]):
-            shift_at = it
-        if shift_at is not None:
-            # S += lo F, through the block ratio buffers
-            for *_, s, f, r in plan:
-                s += np.multiply(f, lo, out=r)
-            floor, top = floor * 2 * lo, top * (hi + lo)
+    it = 0
+    known = False  # whether lo, hi are a bracket under the current weights
+    while True:
+        window = k and shift_at is None and known and _window_length(
+            k, widths, floor, top, lo, hi)
+        if window > 1:
+            if F is not iterates[0]:  # a window starts from row 0
+                iterates[0][:] = F
+                F = iterates[0]
+            with np.errstate(all="ignore"):
+                for [(w, heads, out, *_)] in steps[:window]:
+                    np.einsum("abj,aj->bj", w, heads, out=out)
+                ratios = np.divide(X[1:window + 1], X[:window],
+                                   out=R[:window])
+            brackets = zip(np.minimum.reduce(ratios, axis=1).tolist(),
+                           np.maximum.reduce(ratios, axis=1).tolist(),
+                           steps, iterates[1:])
         else:
-            floor, top = floor * lo, top * hi
-        F, S = S, F
-        plan, other = other, plan
-        if floor * _FOLD_RANGE < 1.0 or top > _FOLD_RANGE:
-            fmin, fmax = float(F.min()), float(F.max())
-            if fmin * _FOLD_RANGE < fmax:
-                if psi is None:
-                    psi = np.log(F)
-                else:
-                    psi += np.log(F, out=F)
-                F.fill(1.0)
-                # the old weights go before the new ones are built
-                W = w = plan = other = None
-                W, c = _scaled_weights(phi3, psi)
-                plan, other = _plans(W, F, S)
-                floor = 1.0
+            window = 0
+            lo, hi = np.inf, -np.inf
+            for w, heads, out, s, f, r in plan:
+                np.einsum("abj,aj->bj", w, heads, out=out)
+                np.divide(s, f, out=r)
+                block_lo, block_hi = np.minimum.reduce(r), np.maximum.reduce(r)
+                # a NaN block wins, as in one min and max over the whole
+                # vector
+                if block_lo < lo or block_lo != block_lo:
+                    lo = block_lo
+                if block_hi > hi or block_hi != block_hi:
+                    hi = block_hi
+            brackets = ((float(lo), float(hi), plan, S),)
+        # one iteration per bracket: F is the iterate it was taken on, and
+        # plan took it to S
+        stop = False
+        for lo, hi, plan, S in brackets:
+            it += 1
+            known = True
+            if not 0.0 < lo <= hi < np.inf:
+                stop = True
+                break
+            width = (hi - lo) / hi
+            converged = width <= DEFAULT_TOL
+            if converged or it >= max_iters:
+                stop = True
+                break
+            widths.append(width)
+            # altered: the next F is not S as the application left it
+            altered = (shift_at is None and it >= n + _STALL_WINDOW
+                       and width > 0.5 * widths[-1 - _STALL_WINDOW])
+            if altered:
+                shift_at = it
+            if shift_at is not None:
+                # S += lo F, through the block ratio buffers
+                for *_, s, f, r in plan:
+                    s += np.multiply(f, lo, out=r)
+                floor, top = floor * 2 * lo, top * (hi + lo)
             else:
-                F /= fmax
-                floor = fmin / fmax
-            top = 1.0
+                floor, top = floor * lo, top * hi
+            F, S = S, F
+            plan, other = other, plan
+            if floor * _FOLD_RANGE < 1.0 or top > _FOLD_RANGE:
+                altered = True
+                fmin, fmax = float(F.min()), float(F.max())
+                if fmin * _FOLD_RANGE < fmax:
+                    if psi is None:
+                        psi = np.log(F)
+                    else:
+                        psi += np.log(F, out=F)
+                    F.fill(1.0)
+                    # the old weights go before the new ones are built
+                    # (a window's brackets still hold its steps, whose
+                    # weights are at most 2^11 m cells)
+                    W = w = plan = other = steps = back = None
+                    W, c = _scaled_weights(phi3, psi)
+                    known = False
+                    steps, back = _plans(W, iterates, ratio, rows)
+                    plan, other = ((steps[0], back) if F is iterates[0]
+                                   else (back, steps[0]))
+                    floor = 1.0
+                else:
+                    F /= fmax
+                    floor = fmin / fmax
+                top = 1.0
+            if window and altered:
+                break
+        if stop:
+            break
+        if window:  # the one-application loop runs from row 0
+            iterates[0][:] = F
+            F, S = iterates[0], iterates[1]
+            plan, other = steps[0], back
     log_f = np.log(F, out=F)
     if psi is not None:
         log_f += psi
     return log_f, c, lo, hi, it, converged, shift_at
+
+
+def _window_length(k: int, widths: list, floor: float, top: float,
+                   lo: float, hi: float) -> int:
+    """Applications for the next window: k, or fewer where the last bracket
+    lo, hi and the last two widths put the next stop or fold check sooner,
+    assuming they keep their rates. A guess that saves the applications a
+    window would discard; it changes no bit of the result."""
+    if len(widths) >= 2 and 0.0 < widths[-1] < widths[-2]:
+        k = min(k, math.ceil(math.log(DEFAULT_TOL / widths[-1])
+                             / math.log(widths[-1] / widths[-2])))
+    if lo < 1.0:
+        k = min(k, int(math.log(floor * _FOLD_RANGE) / -math.log(lo)) + 1)
+    if hi > 1.0:
+        k = min(k, int(math.log(_FOLD_RANGE / top) / math.log(hi)) + 1)
+    return k
 
 
 def lambda_overflow(log_lambda: float) -> str:
@@ -320,6 +440,8 @@ def power_iterate(potential: PotentialField,
     replica batches must see the failure, not die on it. Every solve of
     the CLI runs here.
     """
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     logH, c, lo, hi, iters, ok, _ = _perron_core(
         potential.phi, potential.alphabet.m, potential.level, max_iters)
     logH.setflags(write=False)

@@ -34,10 +34,12 @@ CALLS = [
     "spectrum --level 9 --seed 2 --beta 1000",
     "spectrum --level 8 --beta 700 --seed 14232521865600346940",
     "spectrum --level 10 --seed 1 --beta 700",
+    "spectrum --level 10 --seed 0 --beta 700",
     "spectrum --level 4 --alphabet 5 --beta 3 --seed 4",
     "pressure --level 10 --replicas 256 --seed 3 --emit-birkhoff {tmp}/birkhoff.csv",
     "pressure --level 8 --replicas 8 --beta 10",
     "pressure --level 5 --replicas 16 --alphabet 3 --beta 0.5 --workers 2",
+    "pressure --level 6 --replicas 16 --beta 400 --seed 1",
     "montecarlo --level 12 --replicas 1024 --workers 2 --seed 5 --csv {tmp}/mc.csv",
     "montecarlo --level 8 --replicas 64 --beta 2 --workers 2",
     "montecarlo --level 8 --replicas 16 --beta 700 --seed 1",

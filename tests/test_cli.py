@@ -1,10 +1,12 @@
 import contextlib
+import gc
 import importlib.resources
 import importlib.util
 import itertools
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -202,6 +204,36 @@ print(json.dumps({"code": code, "report": json.loads(out.getvalue())["report"],
 """
 
 
+# An atexit hook that reports the frozen object count, then argv run
+# through cli.main as `python -m ruelle_rand.cli` runs it, or through
+# cli.dispatch.
+FREEZE_PROBE = """\
+import atexit, gc, runpy, sys
+atexit.register(lambda: sys.stderr.write(f"frozen {gc.get_freeze_count()}\\n"))
+if sys.argv[1] == "main":
+    del sys.argv[1]
+    runpy.run_module("ruelle_rand.cli", run_name="__main__", alter_sys=True)
+from ruelle_rand import cli
+sys.exit(cli.dispatch(sys.argv[2:]))
+"""
+
+
+# The package modules a fresh process has loaded after each CLI call.
+SKOROKHOD_PROBE = """\
+import contextlib, io, json, sys
+from ruelle_rand.cli import dispatch
+seen = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["spectrum", "--level", "6"],
+                 ["pressure", "--level", "5", "--replicas", "4"],
+                 ["montecarlo", "--level", "5", "--replicas", "4"],
+                 ["isometry-check", "--level", "4", "--trials", "2"]):
+        code = dispatch(argv)
+        seen.append([argv[0], code, "ruelle_rand.skorokhod" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
 def startup_probe(**env) -> dict:
     base = {k: v for k, v in os.environ.items()
             if k != "OPENBLAS_NUM_THREADS"}
@@ -245,6 +277,37 @@ class TestStartup:
         assert len(rows) == 32
         assert any(in_child for in_child, _ in rows)
         assert [loaded for _, loaded in rows if loaded] == []
+
+    def test_main_freezes_the_import_heap(self):
+        def run(entry):
+            out = subprocess.run(
+                [sys.executable, "-c", FREEZE_PROBE, entry, "spectrum",
+                 "--level", "6"], capture_output=True, text=True, timeout=60,
+                env=dict(os.environ, PYTHONPATH=SRC))
+            assert out.returncode == 0, out.stderr
+            [line] = out.stderr.splitlines()
+            stdout = re.sub(r'"timestamp":"[^"]*"', '"timestamp":"*"',
+                            out.stdout)
+            return int(line.split()[1]), stdout
+
+        frozen, main_out = run("main")
+        unfrozen, dispatch_out = run("dispatch")
+        assert frozen > 0 and unfrozen == 0
+        assert main_out == dispatch_out
+
+    def test_dispatch_leaves_the_collector_alone(self, capsys):
+        before = gc.get_freeze_count()
+        assert run_cli(capsys, "spectrum", "--level", "4")[0] == 0
+        assert gc.get_freeze_count() == before
+
+    def test_skorokhod_loads_only_for_isometry_check(self):
+        out = subprocess.run([sys.executable, "-c", SKOROKHOD_PROBE],
+                             capture_output=True, text=True, timeout=60,
+                             env=dict(os.environ, PYTHONPATH=SRC), check=True)
+        assert json.loads(out.stdout) == [["spectrum", 0, False],
+                                          ["pressure", 0, False],
+                                          ["montecarlo", 0, False],
+                                          ["isometry-check", 0, True]]
 
     def test_explicit_blas_threads_kept(self):
         assert startup_probe(OPENBLAS_NUM_THREADS="3")["blas_threads"] == "3"

@@ -9,7 +9,8 @@ from ruelle_rand import transfer
 from ruelle_rand.brownian import sample, stats
 from ruelle_rand.montecarlo import mean_stderr
 from ruelle_rand.pressure import (DEFAULT_P_GRID, PressureSample,
-                                  _digit_tables, bernoulli_lower_bound,
+                                  _digit_tables, _grid_tables, _log_binomial,
+                                  _log_comb, bernoulli_lower_bound,
                                   birkhoff_pressure, pressure_band,
                                   pressure_sample, quenched_report,
                                   variational_slack)
@@ -169,6 +170,46 @@ class TestBernoulliBound:
         assert np.allclose(np.bincount(s, weights=r), 1.0, rtol=1e-14, atol=0)
         assert _digit_tables(3, 4)[0] is s
         assert _digit_tables(2, 6)[1] is None
+
+    def test_batch_tables_keep_every_bit(self):
+        def per_call(potential, p_grid):
+            # every grid table rebuilt on each call, as one row once did
+            p_grid = np.asarray(p_grid, dtype=float)
+            m, n = potential.alphabet.m, potential.level
+            N = n * (m - 1)
+            s, r = _digit_tables(m, n)
+            if r is None:
+                cond = np.bincount(s, weights=potential.phi, minlength=N + 1)
+                cond *= np.exp(-_log_comb(N))
+            else:
+                cond = np.bincount(s, weights=r * potential.phi,
+                                   minlength=N + 1)
+            log_q = _log_binomial(m - 1, p_grid)
+            entropy = -(np.exp(log_q) * log_q).sum(axis=1)
+            values = entropy + np.exp(_log_binomial(N, p_grid)) @ cond
+            best = int(np.argmax(values))
+            return float(values[best]), float(p_grid[best])
+
+        rng = np.random.default_rng(29)
+        custom = np.sort(rng.uniform(0.001, 0.999, 40))
+        other = np.sort(rng.uniform(0.001, 0.999, 40))
+        for m, n in ((2, 10), (3, 5), (4, 3)):
+            for seed in range(4):
+                pot = build_potential(sample(n, Alphabet(m), seed), 1.0)
+                for p_grid in (DEFAULT_P_GRID, custom, other, list(custom)):
+                    assert (bernoulli_lower_bound(pot, p_grid)
+                            == per_call(pot, p_grid)), (m, n, seed)
+                # one array rewritten in place is a new grid
+                grid = custom.copy()
+                bernoulli_lower_bound(pot, grid)
+                grid[:] = other
+                assert bernoulli_lower_bound(pot, grid) == per_call(pot, other)
+        # two grids of one length share no table; equal values in another
+        # array do
+        a = _grid_tables(2, 10, custom.tobytes())
+        b = _grid_tables(2, 10, other.tobytes())
+        assert not np.array_equal(a[1], b[1])
+        assert _grid_tables(2, 10, custom.copy().tobytes())[1] is a[1]
 
     def test_grid_over_cell_budget_refused(self):
         m = 2**18

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import warnings
@@ -169,6 +170,12 @@ class TestPowerIterate:
         assert not r.converged
         assert r.iterations == 1
         assert r.residual > 1e-6  # negative control
+
+    def test_max_iters_below_one_refused(self):
+        potential, _ = seeded_potential(6, 0)
+        for max_iters in (0, -1):
+            with pytest.raises(ValueError, match="max_iters"):
+                power_iterate(potential, max_iters=max_iters)
 
     def test_runs_the_right_core_once(self, monkeypatch):
         runs = []  # (potential, iterations) of every core run
@@ -413,6 +420,82 @@ class TestBlocks:
         assert out[5]
         assert same_core(
             out, _perron_core(phi, 2, 18, DEFAULT_MAX_ITERS))
+
+
+class TestWindow:
+    def test_window_changes_no_bit(self, monkeypatch):
+        # each application's input F and output S, as digests
+        applied = []
+        einsum = np.einsum
+
+        def recorded(spec, w, heads, out):
+            einsum(spec, w, heads, out=out)
+            src = np.ascontiguousarray(heads).ravel()[:out.size]
+            dst = np.ascontiguousarray(out.T).ravel()
+            applied.append((hash(src.tobytes()), hash(dst.tobytes())))
+
+        folds = []  # applications made before each weight rebuild
+        scaled = transfer._scaled_weights
+        monkeypatch.setattr(np, "einsum", recorded)
+        monkeypatch.setattr(transfer, "_scaled_weights",
+                            lambda *a: folds.append(len(applied)) or scaled(*a))
+
+        guess = transfer._window_length
+
+        def core(window, cells, p, m, n, max_iters, full=False):
+            # full: every window runs its whole length, whatever the guess
+            monkeypatch.setattr(transfer, "_WINDOW", window)
+            monkeypatch.setattr(transfer, "_WINDOW_CELLS", cells)
+            monkeypatch.setattr(transfer, "_window_length",
+                                (lambda k, *_: k) if full else guess)
+            del applied[:], folds[:]
+            return _perron_core(p, m, n, max_iters)
+
+        def events(ref, calls, rebuilds, max_iters):
+            """(iteration, kind) of every decision of the one-application
+            run ref that ends a window: each fold, renormalization and the
+            stall-shift before the shifted update, and the stop."""
+            iters, ok, shift_at = ref[4:]
+            out = [(j, "fold") for j in rebuilds[1:]
+                   if shift_at is None or j <= shift_at]
+            end = iters if shift_at is None else shift_at
+            out += [(j, "renormalization") for j in range(1, end)
+                    if j not in rebuilds and calls[j][0] != calls[j - 1][1]]
+            if shift_at is not None:
+                out.append((shift_at, "shift"))
+            stop = ("converged" if ok else
+                    "max_iters" if iters == max_iters else "breakdown")
+            return out + [(iters, stop)]
+
+        cases = [(alphabet, n, 49, beta)
+                 for alphabet, levels in ((B2, (1, 2, 9)), (B3, (1, 2, 6)),
+                                          (B4, (1, 2, 5)))
+                 for n in levels
+                 for beta in (0.0, 1.0, 10.0, 40.0, 400.0)]
+        cases.append((B2, 12, 0, 10.0))  # spectrum-hot's near-cyclic path
+        inside = set()  # kinds of decision met strictly inside a window
+        for alphabet, n, seed, beta in cases:
+            m = alphabet.m
+            phi = seeded_potential(n, seed, beta=beta, alphabet=alphabet)[0].phi
+            for p in (phi, _reverse(phi, m, n)):
+                for max_iters in (7, 2000):
+                    ref = core(8, 0, p, m, n, max_iters)
+                    calls, rebuilds = list(applied), list(folds)
+                    assert len(calls) == ref[4]
+                    for window, full in itertools.product((1, 2, 3, 8),
+                                                          (False, True)):
+                        got = core(window, 2**30, p, m, n, max_iters, full)
+                        assert same_core(got, ref), (m, n, beta, window, full)
+                        # a decision at iteration j fell strictly inside a
+                        # window if an application read S_j as the
+                        # one-application run's application j left it
+                        read = {src for src, _ in applied}
+                        inside.update(
+                            kind for j, kind in events(ref, calls, rebuilds,
+                                                       max_iters)
+                            if calls[j - 1][1] in read)
+        assert {"fold", "renormalization", "shift", "converged",
+                "max_iters"} <= inside, inside
 
 
 class TestPerronEigenvalue:
