@@ -123,7 +123,7 @@ def _grid_tables(m: int, n: int, p_bytes: bytes):
     p_grid = np.frombuffer(p_bytes)
     if p_grid.size == 0:
         raise ValueError("empty p grid")
-    if np.any(p_grid <= 0) or np.any(p_grid >= 1):
+    if not np.all((p_grid > 0) & (p_grid < 1)):  # NaN too
         raise ValueError("p grid must lie inside (0, 1)")
     N = n * (m - 1)
     if p_grid.size * (N + 1) > MAX_CELLS:
@@ -158,6 +158,8 @@ def bernoulli_lower_bound(potential: PotentialField,
     _grid_tables), and is built once per batch.
     """
     p_grid = np.asarray(p_grid, dtype=float)
+    if p_grid.ndim != 1:
+        raise ValueError("p grid must be 1-D")
     m = potential.alphabet.m
     n = potential.level
     N = n * (m - 1)

@@ -164,10 +164,10 @@ def _scaled_weights(phi3: np.ndarray, psi: np.ndarray | None):
     c the largest exponent, so W <= 1 for every potential. psi None stands
     for psi = 0, before the first fold. The last letter b comes before j so
     that the contraction over a runs along j."""
-    m, inner, last = phi3.shape
+    _, inner, last = phi3.shape
     E = phi3.transpose(0, 2, 1).copy()
     if psi is not None:
-        E += _heads(psi, m, inner)[:, None, :]
+        E += psi.reshape(-1, inner)[:, None, :]
         E -= psi.reshape(inner, last).T
     c = float(E.max())
     E -= c
@@ -177,51 +177,40 @@ def _scaled_weights(phi3: np.ndarray, psi: np.ndarray | None):
 def _by_head(phi: np.ndarray, m: int, n: int) -> np.ndarray:
     """phi as phi3[a, j, b] = phi[a j b]: first letter a, quotient head j
     (the m^(n-2) middle words), last letter b. Depth 1 has one empty head
-    and no last letter."""
+    and no last letter.
+
+    A quotient vector v is read as heads[a, j] = v[a j] through
+    v.reshape(-1, inner): at depth 1 that is one row, the one empty head,
+    which numpy broadcasts over every letter a."""
     inner, last = (m ** (n - 2), m) if n > 1 else (1, 1)
     return phi.reshape(m, inner, last)
 
 
-def _heads(v: np.ndarray, m: int, inner: int) -> np.ndarray:
-    """A quotient vector v as heads[a, j] = v[a j]: a plain view from depth
-    2 on, and at depth 1, where the one empty head serves every letter a, a
-    broadcast."""
-    if v.size == m * inner:
-        return v.reshape(m, inner)
-    return np.broadcast_to(v.reshape(1, inner), (m, inner))
+def _ring(X: np.ndarray, ratio: np.ndarray, inner: int, block: int):
+    """Per-block views of the applications on the rows of X.
 
-
-def _plan(W: np.ndarray, src: np.ndarray, dst: np.ndarray,
-          ratio: np.ndarray):
-    """Per-block views for one application src -> dst.
-
-    A block is the heads j0:j1: its weights W[:, :, j0:j1], its heads
-    src[a j], its strided output dst[j b], the contiguous dst and src
-    slices its Collatz-Wielandt ratios are taken over, and a block-sized
-    slice of ratio. Built once per weight build, so the loop makes no view.
+    Application i takes row i to row i + 1, and the last row's takes it
+    back to row 0. A block is the heads j0:j1: its index into the list of
+    weight blocks, its heads src[a j], its strided output dst[j b], the
+    contiguous dst and src slices its Collatz-Wielandt ratios are taken
+    over, and a block-sized slice of the ratio buffer. The views hold no
+    weights, so they are built once per solve and the loop makes no view.
     """
-    m, last, inner = W.shape
-    block = min(_BLOCK_HEADS, inner)
-    heads = _heads(src, m, inner)
-    out = dst.reshape(inner, last)
-    plan = []
-    for j0 in range(0, inner, block):
-        j1 = min(j0 + block, inner)
-        cells = slice(j0 * last, j1 * last)
-        plan.append((W[:, :, j0:j1], heads[:, j0:j1], out[j0:j1].T,
-                     dst[cells], src[cells], ratio[:(j1 - j0) * last]))
-    return plan
-
-
-def _plans(W: np.ndarray, iterates: list, ratio: np.ndarray, rows: list):
-    """(steps, back) for the weights W: back is the plan iterates[1] ->
-    iterates[0], and steps[i] the plan iterates[i] -> iterates[i + 1]. With
-    no window rows that is the one step of _plan; a window's steps are its
-    rows, the views of one single-block application each, with W added."""
-    back = _plan(W, iterates[1], iterates[0], ratio)
-    if not rows:
-        return [_plan(W, iterates[0], iterates[1], ratio)], back
-    return [[(W, *row)] for row in rows], back
+    last = X.shape[1] // inner
+    rows = list(X)
+    views = []
+    for src, dst in zip(rows, rows[1:] + rows[:1]):
+        heads, out = src.reshape(-1, inner), dst.reshape(inner, last).T
+        if block == inner:  # unsliced: slicing adds ~15% to a depth-2 solve
+            views.append([(0, heads, out, dst, src, ratio)])
+            continue
+        views.append([])
+        for j0 in range(0, inner, block):
+            j1 = min(j0 + block, inner)
+            span = slice(j0 * last, j1 * last)
+            views[-1].append((j0 // block, heads[:, j0:j1], out[:, j0:j1],
+                              dst[span], src[span], ratio[:(j1 - j0) * last]))
+    return views
 
 
 def _perron_core(phi: np.ndarray, m: int, n: int, max_iters: int):
@@ -235,29 +224,33 @@ def _perron_core(phi: np.ndarray, m: int, n: int, max_iters: int):
     serves every beta. Stops when the Collatz-Wielandt bracket
     [min QF/F, max QF/F] has relative width <= DEFAULT_TOL. The update is
     F <- QF until the width stalls (near-cyclic large beta), then
-    F <- QF + lo F, which damps the eigenvalues near -lambda. Each
-    application runs block by block over _BLOCK_HEADS heads (see _plan);
-    min and max are exact, so the block size never changes a bit of the
-    result.
+    F <- QF + lo F, which damps the eigenvalues near -lambda.
 
-    Where the quotient is one block and _WINDOW of its iterates fit in
-    _WINDOW_CELLS, the unshifted update runs in windows: up to _WINDOW
-    applications back to back into the rows of one array X, then all their
-    brackets from one divide and one row-wise min and max. The decisions
-    (breakdown, convergence, max_iters, stall -> shift, renormalize or
-    fold) are then taken row by row, in order, by the same code as the
-    one-application loop. Row i's application reads row i - 1, and its
-    bracket is that of the same two vectors, so up to the first decision
-    that stops or alters an iterate the rows are the one-application
-    loop's own, bit for bit; the window ends there, and the applications
-    after it are discarded. Those may divide by the zeros of a breakdown,
-    so the window runs under errstate(all="ignore"); a kept application
-    divides by a finite F > 0 and cannot warn.
+    The iterates are the k + 1 rows of one array X, walked as a ring by
+    the views of _ring, which are built once per solve; a fold rebuilds
+    only the list of weight blocks. Each application runs block by block
+    over _BLOCK_HEADS heads; min and max are exact, so the block size
+    changes no bit of the result. A quotient of one block whose _WINDOW
+    iterates fit in _WINDOW_CELLS has k = _WINDOW. Any other has k = 1 and
+    ping-pongs between two rows, as does a one-word quotient (depth 1),
+    which always stops at its first application.
+
+    With k > 1 the unshifted update runs in windows: up to k applications
+    back to back from row 0 (F is copied there if it is elsewhere), then
+    all their brackets from one divide and one row-wise min and max. The
+    decisions (breakdown, convergence, max_iters, stall -> shift,
+    renormalize or fold) are taken row by row, in order, by the code that
+    follows a single application. Row i's application reads row i - 1, and
+    its bracket is that of the same two vectors, so up to the first
+    decision that stops or alters an iterate the rows are the
+    one-application loop's own, bit for bit; the window ends there, and
+    the applications after it are discarded. Those may divide by the zeros
+    of a breakdown, so the window runs under errstate(all="ignore"); a kept
+    application divides by a finite F > 0 and cannot warn.
     _window_length guesses how many applications the next decision leaves,
-    from a bracket under the weights in use: the first application under
-    new weights runs alone.
-    The shifted update and deeper quotients run one application per
-    bracket.
+    from a bracket under the weights in use (the first application under
+    new weights runs alone), and no window runs past max_iters. The
+    shifted update runs one application per bracket, round the ring.
 
     Returns (log H, c, lo, hi, iterations, converged, shift_at): H is the
     quotient eigenvector, e^c lo <= lambda <= e^c hi its bracket, and
@@ -267,53 +260,43 @@ def _perron_core(phi: np.ndarray, m: int, n: int, max_iters: int):
     _, inner, last = phi3.shape
     cells = inner * last
     block = min(_BLOCK_HEADS, inner)
-    # a window of one is the one-application loop
-    k = (_WINDOW if block == inner and 2 <= _WINDOW <= _WINDOW_CELLS // cells
-         else 0)
-    rows = []  # a window's per-application views, built once
-    if not k:
-        iterates = [np.empty(cells), np.empty(cells)]
-        ratio = np.empty(block * last)
-    else:
-        X = np.empty((k + 1, cells))
-        iterates = list(X)
-        ratio = np.empty(k * cells)
-        R = ratio.reshape(k, cells)
-        for src, dst, r in zip(iterates, iterates[1:], R):
-            rows.append((_heads(src, m, inner), dst.reshape(inner, last).T,
-                         dst, src, r))
-    F, S = iterates[0], iterates[1]
-    F.fill(1.0)
+    k = (_WINDOW if block == inner and 1 < cells
+         and 2 <= _WINDOW <= _WINDOW_CELLS // cells else 1)
+    X = np.empty((k + 1, cells))
+    R = np.empty((k, block * last))  # one block's ratios, or a window's
+    views = _ring(X, R[0], inner, block)
+    i = 0  # F is X[i]
+    X[i].fill(1.0)
     psi = None  # the folded logs, allocated at the first fold
-    W, c = _scaled_weights(phi3, psi)
-    steps, back = _plans(W, iterates, ratio, rows)
-    plan, other = steps[0], back
+    weights = None  # built at the start and after each fold
     floor = top = 1.0  # bounds on min F and max F
     widths = []
     shift_at = None
     converged = False
     it = 0
-    known = False  # whether lo, hi are a bracket under the current weights
     while True:
-        window = k and shift_at is None and known and _window_length(
-            k, widths, floor, top, lo, hi)
+        # lo, hi are a bracket under the weights in use unless they are new
+        new = weights is None
+        if new:
+            W, c = _scaled_weights(phi3, psi)
+            weights = [W[:, :, j:j + block] for j in range(0, inner, block)]
+        window = k > 1 and shift_at is None and not new and _window_length(
+            min(k, max_iters - it), widths, floor, top, lo, hi)
         if window > 1:
-            if F is not iterates[0]:  # a window starts from row 0
-                iterates[0][:] = F
-                F = iterates[0]
+            if i:  # a window starts from row 0
+                X[0] = X[i]
+                i = 0
             with np.errstate(all="ignore"):
-                for [(w, heads, out, *_)] in steps[:window]:
-                    np.einsum("abj,aj->bj", w, heads, out=out)
+                for [(_, heads, out, *_)] in views[:window]:
+                    np.einsum("abj,aj->bj", W, heads, out=out)
                 ratios = np.divide(X[1:window + 1], X[:window],
                                    out=R[:window])
             brackets = zip(np.minimum.reduce(ratios, axis=1).tolist(),
-                           np.maximum.reduce(ratios, axis=1).tolist(),
-                           steps, iterates[1:])
+                           np.maximum.reduce(ratios, axis=1).tolist())
         else:
-            window = 0
             lo, hi = np.inf, -np.inf
-            for w, heads, out, s, f, r in plan:
-                np.einsum("abj,aj->bj", w, heads, out=out)
+            for wi, heads, out, s, f, r in views[i]:
+                np.einsum("abj,aj->bj", weights[wi], heads, out=out)
                 np.divide(s, f, out=r)
                 block_lo, block_hi = np.minimum.reduce(r), np.maximum.reduce(r)
                 # a NaN block wins, as in one min and max over the whole
@@ -322,13 +305,12 @@ def _perron_core(phi: np.ndarray, m: int, n: int, max_iters: int):
                     lo = block_lo
                 if block_hi > hi or block_hi != block_hi:
                     hi = block_hi
-            brackets = ((float(lo), float(hi), plan, S),)
-        # one iteration per bracket: F is the iterate it was taken on, and
-        # plan took it to S
+            brackets = ((float(lo), float(hi)),)
+        # one iteration per bracket: X[i] is the iterate it was taken on,
+        # and views[i] took it to the next row
         stop = False
-        for lo, hi, plan, S in brackets:
+        for lo, hi in brackets:
             it += 1
-            known = True
             if not 0.0 < lo <= hi < np.inf:
                 stop = True
                 break
@@ -338,22 +320,22 @@ def _perron_core(phi: np.ndarray, m: int, n: int, max_iters: int):
                 stop = True
                 break
             widths.append(width)
-            # altered: the next F is not S as the application left it
+            # altered: the next F is not the row as its application left it
             altered = (shift_at is None and it >= n + _STALL_WINDOW
                        and width > 0.5 * widths[-1 - _STALL_WINDOW])
             if altered:
                 shift_at = it
             if shift_at is not None:
                 # S += lo F, through the block ratio buffers
-                for *_, s, f, r in plan:
+                for *_, s, f, r in views[i]:
                     s += np.multiply(f, lo, out=r)
                 floor, top = floor * 2 * lo, top * (hi + lo)
             else:
                 floor, top = floor * lo, top * hi
-            F, S = S, F
-            plan, other = other, plan
+            i = (i + 1) % (k + 1)
             if floor * _FOLD_RANGE < 1.0 or top > _FOLD_RANGE:
                 altered = True
+                F = X[i]
                 fmin, fmax = float(F.min()), float(F.max())
                 if fmin * _FOLD_RANGE < fmax:
                     if psi is None:
@@ -362,28 +344,20 @@ def _perron_core(phi: np.ndarray, m: int, n: int, max_iters: int):
                         psi += np.log(F, out=F)
                     F.fill(1.0)
                     # the old weights go before the new ones are built
-                    # (a window's brackets still hold its steps, whose
-                    # weights are at most 2^11 m cells)
-                    W = w = plan = other = steps = back = None
-                    W, c = _scaled_weights(phi3, psi)
-                    known = False
-                    steps, back = _plans(W, iterates, ratio, rows)
-                    plan, other = ((steps[0], back) if F is iterates[0]
-                                   else (back, steps[0]))
+                    W = weights = None
                     floor = 1.0
                 else:
                     F /= fmax
                     floor = fmin / fmax
                 top = 1.0
-            if window and altered:
+            if altered:  # a window ends at its first altered iterate
                 break
         if stop:
             break
-        if window:  # the one-application loop runs from row 0
-            iterates[0][:] = F
-            F, S = iterates[0], iterates[1]
-            plan, other = steps[0], back
-    log_f = np.log(F, out=F)
+    # log H is a new array, so that X does not outlive the solve; the
+    # weights go first, so that it adds nothing to the solve's peak
+    W = weights = None
+    log_f = np.log(X[i])
     if psi is not None:
         log_f += psi
     return log_f, c, lo, hi, it, converged, shift_at
@@ -491,7 +465,7 @@ def _log_apply(potential: PotentialField, G: np.ndarray, shift: float):
     """
     phi3 = _by_head(potential.phi, potential.alphabet.m, potential.level)
     m, inner, last = phi3.shape
-    heads = _heads(G, m, inner)
+    heads = G.reshape(-1, inner)
     block = min(_BLOCK_HEADS, inner)
     buf = np.empty(m * block * last)
     for j0 in range(0, inner, block):

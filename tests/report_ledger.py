@@ -1,6 +1,7 @@
 """Byte ledger of the CLI: one line per call of a fixed list.
 
     python tests/report_ledger.py ROOT [VAR=VALUE ...]
+    python tests/report_ledger.py A B [VAR=VALUE ...]
 
 runs each call as `python -m ruelle_rand.cli` with PYTHONPATH=ROOT/src in
 a fresh temporary directory, RUELLE_RAND_WORKERS removed from the
@@ -8,9 +9,9 @@ environment unless it is given, and prints the exit code and digests of
 stdout, stderr and every file the call wrote. The temporary path is
 replaced in both streams and the manifest's timestamp and wall_time are
 masked in stdout, so two checkouts that produce the same bytes print the
-same lines:
-
-    diff <(python tests/report_ledger.py A) <(python tests/report_ledger.py B)
+same lines. Given two checkouts A and B, it runs the list on each and
+prints only the calls whose lines differ, A's line after "-" and B's after
+"+", and exits 1 if any do.
 
 It imports nothing from the package, so it runs against any checkout.
 """
@@ -36,15 +37,20 @@ CALLS = [
     "spectrum --level 10 --seed 1 --beta 700",
     "spectrum --level 10 --seed 0 --beta 700",
     "spectrum --level 4 --alphabet 5 --beta 3 --seed 4",
+    "spectrum --level 1 --alphabet 3 --beta 3 --seed 4",
+    "spectrum --level 1 --seed 2 --beta 30",
+    "spectrum --level 18 --seed 50",
     "pressure --level 10 --replicas 256 --seed 3 --emit-birkhoff {tmp}/birkhoff.csv",
     "pressure --level 8 --replicas 8 --beta 10",
     "pressure --level 5 --replicas 16 --alphabet 3 --beta 0.5 --workers 2",
     "pressure --level 6 --replicas 16 --beta 400 --seed 1",
+    "pressure --level 2 --replicas 64 --alphabet 3 --seed 1",
     "montecarlo --level 12 --replicas 1024 --workers 2 --seed 5 --csv {tmp}/mc.csv",
     "montecarlo --level 8 --replicas 64 --beta 2 --workers 2",
     "montecarlo --level 8 --replicas 16 --beta 700 --seed 1",
     "montecarlo --level 6 --replicas 4 --beta 200 --seed 0",
     "montecarlo --level 10 --replicas 4 --seed 8",
+    "montecarlo --level 1 --replicas 256 --alphabet 5 --beta 2 --seed 3",
     "refine-study --levels 5,6,7 --replicas 16",
     "refine-study --levels 4,6,8 --replicas 16 --beta 0 --workers 2",
     "refine-study --levels 6,8,10 --replicas 32 --seed 3 --workers 2",
@@ -71,13 +77,11 @@ def files(tmp: str) -> dict[str, str]:
     return out
 
 
-def main(argv: list[str]) -> int:
-    if not argv or any("=" not in a for a in argv[1:]):
-        sys.stderr.write(__doc__)
-        return 1
+def ledger(root: str, assignments: list[str]):
+    """The ledger's lines for the checkout at root, one per call."""
     env = {k: v for k, v in os.environ.items() if k != "RUELLE_RAND_WORKERS"}
-    env.update(a.split("=", 1) for a in argv[1:])
-    env["PYTHONPATH"] = os.path.join(os.path.abspath(argv[0]), "src")
+    env.update(a.split("=", 1) for a in assignments)
+    env["PYTHONPATH"] = os.path.join(os.path.abspath(root), "src")
     with tempfile.TemporaryDirectory() as tmp:
         for call in CALLS:
             before = files(tmp)
@@ -91,9 +95,24 @@ def main(argv: list[str]) -> int:
                 stdout = pattern.sub(mask, stdout)
             wrote = [f"{name}:{d}" for name, d in files(tmp).items()
                      if before.get(name) != d]
-            print(f"{done.returncode} out:{digest(stdout)} "
-                  f"err:{digest(stderr)} {' '.join(wrote) or '-'}  {call}")
-    return 0
+            yield (f"{done.returncode} out:{digest(stdout)} "
+                   f"err:{digest(stderr)} {' '.join(wrote) or '-'}  {call}")
+
+
+def main(argv: list[str]) -> int:
+    roots = 2 if len(argv) > 1 and "=" not in argv[1] else 1
+    if not argv or any("=" not in a for a in argv[roots:]):
+        sys.stderr.write(__doc__)
+        return 1
+    if roots == 1:
+        for line in ledger(argv[0], argv[1:]):
+            print(line, flush=True)
+        return 0
+    a, b = (list(ledger(root, argv[2:])) for root in argv[:2])
+    differ = [(x, y) for x, y in zip(a, b) if x != y]
+    for x, y in differ:
+        print(f"- {x}\n+ {y}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

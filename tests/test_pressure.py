@@ -226,6 +226,11 @@ class TestBernoulliBound:
             bernoulli_lower_bound(pot, p_grid=[0.0, 0.5])
         with pytest.raises(ValueError):
             bernoulli_lower_bound(pot, p_grid=[0.5, 1.0])
+        with pytest.raises(ValueError, match="inside"):
+            bernoulli_lower_bound(pot, p_grid=[0.5, np.nan])
+        for grid in ([[0.2, 0.5], [0.6, 0.8]], 0.5):
+            with pytest.raises(ValueError, match="1-D"):
+                bernoulli_lower_bound(pot, p_grid=grid)
 
 
 class TestSlack:

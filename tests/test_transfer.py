@@ -309,11 +309,13 @@ class TestPowerIterate:
 
 
 class TestMemory:
-    def test_power_iterate_holds_three_vectors_besides_phi(self):
+    # level 16 is one block of heads, level 18 four
+    @pytest.mark.parametrize("level", [16, 18])
+    def test_power_iterate_holds_three_vectors_besides_phi(self, level):
         # the weights, the two quotient iterates and h; the residual runs
         # block by block with no depth-n temporary
         power_iterate(seeded_potential(4, 1)[0])
-        potential, _ = seeded_potential(16, 0)
+        potential, _ = seeded_potential(level, 0)
         r, peak = traced_peak(power_iterate, potential)
         assert r.converged
         assert peak <= 3 * potential.phi.nbytes
@@ -494,8 +496,24 @@ class TestWindow:
                             kind for j, kind in events(ref, calls, rebuilds,
                                                        max_iters)
                             if calls[j - 1][1] in read)
-        assert {"fold", "renormalization", "shift", "converged",
-                "max_iters"} <= inside, inside
+        # a max_iters stop ends its window, never falls inside one
+        # (test_no_application_past_max_iters)
+        assert {"fold", "renormalization", "shift", "converged"} <= inside, \
+            inside
+
+    def test_no_application_past_max_iters(self, monkeypatch):
+        # every contraction is an iteration: a window that max_iters cuts
+        # short runs no application past it
+        contractions = []
+        einsum = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *a, **kw: (
+            contractions.append(1) or einsum(*a, **kw)))
+        phi = seeded_potential(10, 0)[0].phi
+        for max_iters in (1, 2, 3, 7):
+            del contractions[:]
+            out = _perron_core(phi, 2, 10, max_iters)
+            assert not out[5] and out[4] == max_iters
+            assert len(contractions) == max_iters, max_iters
 
 
 class TestPerronEigenvalue:
